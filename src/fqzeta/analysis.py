@@ -53,9 +53,12 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def threads_from_env(default: int | None = None) -> int:
+    """Worker count from FQZETA_THREADS; ValueError unless it is a positive integer."""
     raw = os.environ.get("FQZETA_THREADS")
     if raw:
-        return max(1, int(raw))
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError(f"FQZETA_THREADS must be a positive integer, got {raw!r}")
+        return int(raw)
     return default if default is not None else (os.cpu_count() or 1)
 
 

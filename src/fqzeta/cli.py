@@ -19,8 +19,9 @@ from .analysis import factor_prime_power, threads_from_env
 from .formulas import UnknownBranch, closed_form, evaluate
 from .gf import DegreeZero, NotPrime, TooLarge, make_field
 from .liealg import (FAMILIES, BadArity, BadCatalogId, M9ParamReducible,
-                     catalog, is_nilpotent, parse_algebra_spec)
-from .oracle import GuardExceeded, zeta_oracle
+                     catalog, describe_instance, is_nilpotent,
+                     parse_algebra_spec)
+from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
 from .zetapoly import ZetaPoly
 
@@ -114,12 +115,14 @@ def cmd_zeta(args) -> int:
     arity = FAMILIES[family][1]
     params = tuple(ctx.embed(kwargs[k]) for k in ["a", "b"][:arity])
     kind = _parse_kinds(args.kind)[0]
+    methods = ["rrdf", "oracle", "formula"] if args.method == "all" else [args.method]
     try:
+        if "oracle" in methods:
+            check_guard(FAMILIES[family][0], ctx.q)
         L = catalog(family, params, ctx)
-    except M9ParamReducible as exc:
+    except (GuardExceeded, M9ParamReducible) as exc:
         raise CliError(str(exc), EXIT_GUARD)
 
-    methods = ["rrdf", "oracle", "formula"] if args.method == "all" else [args.method]
     records = []
     polys = {}
     for method in methods:
@@ -181,7 +184,10 @@ def cmd_verify(args) -> int:
     kinds = _parse_kinds(args.kinds)
     for q in q_set:
         _field_for(q)
-    threads = args.threads if args.threads else threads_from_env()
+    try:
+        threads = args.threads if args.threads else threads_from_env()
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE)
     t0 = time.perf_counter()
     report = analysis.verify_campaign(families, q_set, kinds, threads=threads)
     elapsed = time.perf_counter() - t0
@@ -346,14 +352,6 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _fmt_instance(family: str, params) -> str:
-    if not params:
-        return family
-    keys = "ab"
-    inner = ",".join(f"{keys[i]}={v}" for i, v in enumerate(params))
-    return f"{family}({inner})"
-
-
 def cmd_iso(args) -> int:
     q_set = _parse_qset(args.q_set)
     kinds = _parse_kinds(args.kinds)
@@ -365,8 +363,8 @@ def cmd_iso(args) -> int:
           f"{len(pairs)}")
     limit = args.limit if args.limit else len(pairs)
     for pr in pairs[:limit]:
-        l = _fmt_instance(*pr.left)
-        r = _fmt_instance(*pr.right)
+        l = describe_instance(*pr.left)
+        r = describe_instance(*pr.right)
         print(f"  q={pr.q} {pr.kind:10s} {l:12s} ~ {r:12s} {list(pr.coeffs)}")
     if limit < len(pairs):
         print(f"  ... {len(pairs) - limit} more (raise --limit)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,12 +86,15 @@ class FieldCtx:
         return range(self.q)
 
     # -- arithmetic ----------------------------------------------------
+    #
+    # Extension fields with q <= TABLE_LIMIT read the tables of _lists; the
+    # digit routines build those tables and serve larger extension fields.
 
     def add(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x + y) % self.p
-        p = self.p
-        return self.undigits([(a + b) % p for a, b in zip(self.digits(x), self.digits(y))])
+        lists = self._lists
+        return lists[0][x][y] if lists else self._add_digits(x, y)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -99,12 +102,24 @@ class FieldCtx:
     def neg(self, x: int) -> int:
         if self.k == 1:
             return (-x) % self.p
-        p = self.p
-        return self.undigits([(-a) % p for a in self.digits(x)])
+        lists = self._lists
+        return lists[2][x] if lists else self._neg_digits(x)
 
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x * y) % self.p
+        lists = self._lists
+        return lists[1][x][y] if lists else self._mul_digits(x, y)
+
+    def _add_digits(self, x: int, y: int) -> int:
+        p = self.p
+        return self.undigits([(a + b) % p for a, b in zip(self.digits(x), self.digits(y))])
+
+    def _neg_digits(self, x: int) -> int:
+        p = self.p
+        return self.undigits([(-a) % p for a in self.digits(x)])
+
+    def _mul_digits(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
         p, k = self.p, self.k
@@ -147,23 +162,27 @@ class FieldCtx:
 
     # -- dense tables for vectorised consumers -------------------------
 
+    @cached_property
+    def _lists(self):
+        """(ADD, MUL, NEG) as nested lists, built once from the digit
+        routines; None for q > TABLE_LIMIT."""
+        q = self.q
+        if q > TABLE_LIMIT:
+            return None
+        add = [[0] * q for _ in range(q)]
+        mul = [[0] * q for _ in range(q)]
+        for a in range(q):
+            for b in range(a, q):
+                add[a][b] = add[b][a] = self._add_digits(a, b)
+                mul[a][b] = mul[b][a] = self._mul_digits(a, b)
+        return add, mul, [self._neg_digits(a) for a in range(q)]
+
     def tables(self):
         """(ADD, MUL, NEG) lookup arrays; only available for q <= TABLE_LIMIT."""
         if "t" not in self._tables:
-            if self.q > TABLE_LIMIT:
+            if self._lists is None:
                 raise TooLarge(f"no dense tables for q={self.q} > {TABLE_LIMIT}")
-            q = self.q
-            add = np.empty((q, q), dtype=np.int16)
-            mul = np.empty((q, q), dtype=np.int16)
-            neg = np.empty(q, dtype=np.int16)
-            for a in range(q):
-                neg[a] = self.neg(a)
-                for b in range(a, q):
-                    s = self.add(a, b)
-                    m = self.mul(a, b)
-                    add[a, b] = add[b, a] = s
-                    mul[a, b] = mul[b, a] = m
-            self._tables["t"] = (add, mul, neg)
+            self._tables["t"] = tuple(np.array(t, dtype=np.int16) for t in self._lists)
         return self._tables["t"]
 
 
@@ -320,35 +339,24 @@ class UniPoly:
 def count_roots(f, ctx: FieldCtx) -> int:
     """Number of x in F_q with f(x) = 0, by exhaustive scan over the field.
 
-    The zero polynomial vanishes everywhere and returns q.  The scan is the
-    unconditional ground truth used by everything else in the package; it is
-    never replaced by factorisation.
+    The zero polynomial vanishes everywhere and returns q.  Prime fields scan
+    all of F_p at once with a numpy Horner loop mod p; extension fields run
+    the scalar Horner loop of UniPoly.eval through ctx.add and ctx.mul.  The
+    scan is the unconditional ground truth used by everything else in the
+    package; it is never replaced by factorisation.
     """
-    coeffs = tuple(f.coeffs) if isinstance(f, UniPoly) else tuple(f)
-    deg = None
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            deg = i
-            break
+    poly = f if isinstance(f, UniPoly) else UniPoly.of(f)
+    deg = poly.degree()
     if deg is None:
         return ctx.q
     if deg == 0:
         return 0
-    if ctx.k == 1 and ctx.q >= 64:
+    if ctx.k == 1:
         # Horner over a numpy vector of all field elements; p^2 < 2^63 so
         # int64 products never overflow between reductions.
         x = np.arange(ctx.q, dtype=np.int64)
         v = np.zeros(ctx.q, dtype=np.int64)
-        for c in reversed(coeffs[: deg + 1]):
+        for c in reversed(poly.coeffs[: deg + 1]):
             v = (v * x + c) % ctx.p
         return int(np.count_nonzero(v == 0))
-    if 16 <= ctx.q <= TABLE_LIMIT:
-        # same Horner scan, via the dense lookup tables
-        add_t, mul_t, _ = ctx.tables()
-        x = np.arange(ctx.q, dtype=np.int16)
-        v = np.zeros(ctx.q, dtype=np.int16)
-        for c in reversed(coeffs[: deg + 1]):
-            v = add_t[mul_t[v, x], c]
-        return int(np.count_nonzero(v == 0))
-    poly = UniPoly(coeffs)
     return sum(1 for x in range(ctx.q) if poly.eval(ctx, x) == 0)

@@ -13,6 +13,7 @@ Catalog parameters are field elements of the target context (encodings
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -75,11 +76,15 @@ class LieAlgebra:
         return [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
 
     def describe(self) -> str:
-        if not self.params:
-            return self.name
-        keys = "ab"
-        inner = ",".join(f"{keys[i]}={v}" for i, v in enumerate(self.params))
-        return f"{self.name}({inner})"
+        return describe_instance(self.name, self.params)
+
+
+def describe_instance(family: str, params) -> str:
+    """Catalog spec text of an instance: "M8", "L3(a=1)", "M6(a=2,b=0)"."""
+    if not params:
+        return family
+    inner = ",".join(f"{key}={v}" for key, v in zip("ab", params))
+    return f"{family}({inner})"
 
 
 def from_structure_constants(ctx: FieldCtx, n: int, sc, name: str = "",
@@ -98,19 +103,20 @@ def from_structure_constants(ctx: FieldCtx, n: int, sc, name: str = "",
                     raise ValueError(f"entry ({i},{j},{k}) not a field element")
                 if tens[j][i][k] != ctx.neg(c) or (i == j and c != 0):
                     raise AntisymmetryViolation(f"at (i,j,k)=({i + 1},{j + 1},{k + 1})")
-    alg = LieAlgebra(ctx=ctx, n=n, sc=tens, name=name, params=tuple(params),
-                     warnings=tuple(warnings))
-    e = alg.basis()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = alg.bracket(alg.bracket(e[i], e[j]), e[k])
-                s2 = alg.bracket(alg.bracket(e[j], e[k]), e[i])
-                s3 = alg.bracket(alg.bracket(e[k], e[i]), e[j])
-                for t in range(n):
-                    if ctx.add(s[t], ctx.add(s2[t], s3[t])) != 0:
-                        raise JacobiViolation(f"at (i,j,k)=({i + 1},{j + 1},{k + 1})")
-    return alg
+    # With the bracket antisymmetric and [e_i, e_i] = 0, the Jacobiator is
+    # alternating trilinear, so it vanishes everywhere iff it vanishes on
+    # every basis triple i < j < k.
+    for i, j, k in itertools.combinations(range(n), 3):
+        for t in range(n):
+            acc = 0
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for s, x in enumerate(tens[a][b]):
+                    if x:
+                        acc = ctx.add(acc, ctx.mul(x, tens[s][c][t]))
+            if acc:
+                raise JacobiViolation(f"at (i,j,k)=({i + 1},{j + 1},{k + 1})")
+    return LieAlgebra(ctx=ctx, n=n, sc=tens, name=name, params=tuple(params),
+                      warnings=tuple(warnings))
 
 
 # -- catalog ------------------------------------------------------------

@@ -14,7 +14,6 @@ import itertools
 
 import numpy as np
 
-from .gf import TABLE_LIMIT
 from .liealg import LieAlgebra
 from .zetapoly import ZetaPoly
 
@@ -172,22 +171,22 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
     return len(sel)
 
 
-def zeta_oracle(L: LieAlgebra, kind: str, force_scalar: bool = False) -> ZetaPoly:
+def check_guard(n: int, q: int) -> None:
+    """Raise GuardExceeded unless an n-dimensional algebra over F_q is in range."""
+    if n > MAX_N or q > MAX_Q:
+        raise GuardExceeded(f"oracle guard: need n <= {MAX_N} and q <= {MAX_Q}, "
+                            f"got n={n}, q={q}")
+
+
+def zeta_oracle(L: LieAlgebra, kind: str) -> ZetaPoly:
     """Count subalgebras/ideals of every codimension by full enumeration."""
     if kind not in ("ideal", "subalgebra"):
         raise ValueError(f"kind must be 'ideal' or 'subalgebra', got {kind!r}")
     n, q = L.n, L.ctx.q
-    if n > MAX_N or q > MAX_Q:
-        raise GuardExceeded(f"oracle guard: need n <= {MAX_N} and q <= {MAX_Q}, "
-                            f"got n={n}, q={q}")
+    check_guard(n, q)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1  # the zero subspace
-    use_vector = not force_scalar and q <= TABLE_LIMIT
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
-            if use_vector:
-                cnt = _count_cell_vector(L, pivots, kind)
-            else:
-                cnt = _count_cell_scalar(L, pivots, kind)
-            coeffs[n - k] += cnt
+            coeffs[n - k] += _count_cell_vector(L, pivots, kind)
     return ZetaPoly.of(q, coeffs)

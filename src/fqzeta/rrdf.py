@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldCtx, TABLE_LIMIT
+from .gf import FieldCtx
 from .liealg import LieAlgebra
 from .zetapoly import ZetaPoly
 
@@ -144,21 +144,6 @@ def enumerate_cell(dt: DiagonalType, ctx: FieldCtx):
     """Yield the cell's matrices, free entries in odometer order."""
     for assign in itertools.product(range(ctx.q), repeat=cell_exponent(dt)):
         yield RrdfMatrix(dt, ctx, assign)
-
-
-def _mat_mul(A, B, ctx: FieldCtx):
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(n):
-            s = 0
-            for t in range(n):
-                a = Ai[t]
-                if a:
-                    s = ctx.add(s, ctx.mul(a, B[t][j]))
-            out[i][j] = s
-    return out
 
 
 def _vec_mat(v, B, ctx: FieldCtx):
@@ -328,7 +313,16 @@ def cell_count_scalar(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
     return sum(1 for M in enumerate_cell(dt, L.ctx) if test(M, L))
 
 
-def _cell_count_vector(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
+def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
+    """Number of matrices in the cell spanning a subalgebra/ideal of L.
+
+    A cell that must be scanned needs the field's dense tables, so fields
+    too large for FieldCtx.tables raise TooLarge there.
+    """
+    if kind not in ("ideal", "subalgebra"):
+        raise ValueError(f"kind must be 'ideal' or 'subalgebra', got {kind!r}")
+    if dt.n != L.n:
+        raise DimensionMismatch(f"cell is for n={dt.n}, algebra has n={L.n}")
     ctx = L.ctx
     q = ctx.q
     m = cell_exponent(dt)
@@ -376,26 +370,14 @@ def _cell_count_vector(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
     return total
 
 
-def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str,
-               force_scalar: bool = False) -> int:
-    """Number of matrices in the cell spanning a subalgebra/ideal of L."""
-    if kind not in ("ideal", "subalgebra"):
-        raise ValueError(f"kind must be 'ideal' or 'subalgebra', got {kind!r}")
-    if dt.n != L.n:
-        raise DimensionMismatch(f"cell is for n={dt.n}, algebra has n={L.n}")
-    if force_scalar or L.ctx.q > TABLE_LIMIT:
-        return cell_count_scalar(L, dt, kind)
-    return _cell_count_vector(L, dt, kind)
-
-
 @lru_cache(maxsize=32)
 def _types_by_codim(n: int) -> tuple[tuple[int, DiagonalType], ...]:
     return tuple((dt.codim, dt) for dt in diagonal_types(n))
 
 
-def zeta_enumerate(L: LieAlgebra, kind: str, force_scalar: bool = False) -> ZetaPoly:
+def zeta_enumerate(L: LieAlgebra, kind: str) -> ZetaPoly:
     """Assemble the zeta polynomial from the per-cell counts."""
     coeffs = [0] * (L.n + 1)
     for codim, dt in _types_by_codim(L.n):
-        coeffs[codim] += cell_count(L, dt, kind, force_scalar=force_scalar)
+        coeffs[codim] += cell_count(L, dt, kind)
     return ZetaPoly.of(L.ctx.q, coeffs)

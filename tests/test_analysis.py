@@ -19,6 +19,9 @@ def test_threads_from_env(monkeypatch):
     assert an.threads_from_env() == 3
     monkeypatch.delenv("FQZETA_THREADS")
     assert an.threads_from_env(default=2) == 2
+    monkeypatch.setenv("FQZETA_THREADS", "abc")
+    with pytest.raises(ValueError, match="positive integer"):
+        an.threads_from_env()
 
 
 def test_campaign_l22_single():

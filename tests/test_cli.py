@@ -1,4 +1,5 @@
 import json
+import time
 
 from importlib import resources
 
@@ -65,6 +66,15 @@ def test_zeta_guard_violations_exit_3(capsys):
     # oracle guard: q too large for full enumeration
     code, _, err = run(capsys, "zeta", "M8", "--q", "17", "--method", "oracle")
     assert code == EXIT_GUARD
+    # the cell route has no dense tables above q = 256, and "all" checks the
+    # oracle guard before any route runs: each is refused at once
+    for argv in (["M8", "--q", "1048573", "--method", "rrdf"],
+                 ["L3(a=1)", "--q", "257", "--method", "rrdf"],
+                 ["M8", "--q", "251", "--method", "all"]):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "zeta", *argv)
+        assert code == EXIT_GUARD, argv
+        assert time.perf_counter() - t0 < 10, argv
 
 
 def test_zeta_corrupted_table_gives_mismatch(tmp_path, monkeypatch, capsys):
@@ -98,6 +108,13 @@ def test_verify_small_ok(tmp_path, capsys):
     assert len(rows) == 2 * (1 + 2) + 2 * (1 + 3) + 2 * (1 + 5)
     assert all(r["status"] == "PASS" for r in rows)
     assert all(r["coeffs"] == r["formula_coeffs"] for r in rows)
+
+
+def test_verify_bad_threads_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("FQZETA_THREADS", "abc")
+    code, _, err = run(capsys, "verify", "--q-set", "2")
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and "FQZETA_THREADS" in err
 
 
 def test_verify_m12_char2_anomaly_exit_zero(capsys):

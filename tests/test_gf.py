@@ -81,7 +81,7 @@ def test_construction_is_deterministic():
 
 def test_field_axioms_sampled():
     rng = random.Random(20240811)
-    for p, k in [(3, 1), (2, 3), (3, 2), (5, 2), (11, 1)]:
+    for p, k in [(3, 1), (2, 3), (3, 2), (5, 2), (11, 1), (3, 6)]:
         ctx = make_field(p, k)
         for _ in range(200):
             x, y, z = (rng.randrange(ctx.q) for _ in range(3))
@@ -89,6 +89,26 @@ def test_field_axioms_sampled():
             assert ctx.mul(x, y) == ctx.mul(y, x)
             assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
             assert ctx.add(x, ctx.neg(x)) == 0
+
+
+def test_table_scalars_match_digit_routines():
+    # extension fields with q <= 256 read add/mul/neg from tables built once;
+    # the digit routines are the reference they were built from
+    for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
+        ctx = make_field(p, k)
+        for x in range(ctx.q):
+            assert ctx.neg(x) == ctx._neg_digits(x)
+            for y in range(ctx.q):
+                assert ctx.add(x, y) == ctx._add_digits(x, y)
+                assert ctx.mul(x, y) == ctx._mul_digits(x, y)
+    ctx = make_field(2, 8)  # F_256, the largest field with tables
+    assert ctx._lists is not None
+    rng = random.Random(256)
+    for _ in range(2000):
+        x, y = rng.randrange(256), rng.randrange(256)
+        assert ctx.neg(x) == ctx._neg_digits(x)
+        assert ctx.add(x, y) == ctx._add_digits(x, y)
+        assert ctx.mul(x, y) == ctx._mul_digits(x, y)
 
 
 def test_fermat_lagrange():
@@ -114,7 +134,7 @@ def test_count_roots_examples():
 
 def test_count_roots_zero_poly_and_degree_bound():
     rng = random.Random(7)
-    for p, k in [(3, 1), (2, 2), (5, 1)]:
+    for p, k in [(3, 1), (2, 2), (5, 1), (3, 6)]:
         ctx = make_field(p, k)
         assert count_roots([], ctx) == ctx.q
         assert count_roots([0, 0], ctx) == ctx.q
@@ -147,7 +167,7 @@ def test_count_roots_of_products_is_union():
 
 
 def test_count_roots_fast_path_matches_scalar():
-    # q >= 64 prime triggers the vectorised Horner scan
+    # prime fields take the numpy mod-p Horner scan
     ctx = make_field(101, 1)
     rng = random.Random(3)
     for _ in range(20):
@@ -158,7 +178,8 @@ def test_count_roots_fast_path_matches_scalar():
 
 
 def test_count_roots_table_path_matches_scalar():
-    # 16 <= q <= 256 goes through the dense-table Horner scan
+    # extension fields take the scalar Horner scan through ctx.add/ctx.mul
+    # (table scalars for these q <= 256); F_17 takes the numpy mod-p scan
     rng = random.Random(5)
     for p, k in [(7, 2), (5, 2), (3, 3), (2, 5), (17, 1)]:
         ctx = make_field(p, k)

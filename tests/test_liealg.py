@@ -52,6 +52,18 @@ def test_jacobi_violation():
     sc[2][1][1] = ctx.neg(1)
     with pytest.raises(JacobiViolation):
         from_structure_constants(ctx, n, sc)
+    # the same brackets on e2, e3, e4 with e1 central: over F_2 and F_4 the
+    # only failing triple is (2,3,4), the last one the check reaches
+    for p, k in [(2, 1), (2, 2)]:
+        ctx = make_field(p, k)
+        n = 4
+        sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+        sc[1][2][3] = 1
+        sc[2][1][3] = ctx.neg(1)
+        sc[2][3][2] = 1
+        sc[3][2][2] = ctx.neg(1)
+        with pytest.raises(JacobiViolation, match=r"\(2,3,4\)"):
+            from_structure_constants(ctx, n, sc)
 
 
 def test_abelian_accepted():
