@@ -76,7 +76,10 @@ class VerifyRow:
     formula_coeffs: tuple[int, ...]
     branch_guard: str
     status: str  # PASS / FAIL / ANOMALY
-    seconds: float
+    seconds: float  # the whole row, algebra construction included
+    enum_s: float  # cell route
+    oracle_s: float
+    formula_s: float  # closed_form and evaluate
 
     @property
     def all_equal(self) -> bool:
@@ -117,13 +120,17 @@ def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
     family, params, q, kind = item
     p, k = factor_prime_power(q)
     ctx = make_field(p, k)
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     L = catalog(family, params, ctx)
+    t1 = clock()
     sz = closed_form(family, params, kind, ctx)
-    ze = zeta_enumerate(L, kind)
-    zo = zeta_oracle(L, kind)
     zf = evaluate(sz, params, ctx)
-    elapsed = time.perf_counter() - t0
+    t2 = clock()
+    ze = zeta_enumerate(L, kind)
+    t3 = clock()
+    zo = zeta_oracle(L, kind)
+    t4 = clock()
     equal = ze.coeffs == zo.coeffs == zf.coeffs
     if _excluded(family, p):
         status = "ANOMALY"
@@ -132,7 +139,8 @@ def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
     return VerifyRow(family=family, params=params, q=q, kind=kind,
                      enum_coeffs=ze.coeffs, oracle_coeffs=zo.coeffs,
                      formula_coeffs=zf.coeffs, branch_guard=sz.guard,
-                     status=status, seconds=elapsed)
+                     status=status, seconds=t4 - t0, enum_s=t3 - t2,
+                     oracle_s=t4 - t3, formula_s=t2 - t1)
 
 
 def campaign_items(families, q_set, kinds):

@@ -3,7 +3,8 @@
 Structured output is line-delimited JSON, one object per line, every record
 carrying schema_version "1" and exact decimal-string coefficients.  Human
 tables go to standard output.  Exit codes: 0 success, 1 cross-method
-mismatch (or verification failures), 2 parse errors, 3 guard violations.
+mismatch (or verification failures), 2 parse errors, 3 guard violations,
+4 internal errors (an unexpected exception, reported as "error: internal").
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import re
 import sys
 import time
+import traceback
 
 from . import analysis
 from .analysis import factor_prime_power, threads_from_env
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -58,7 +61,8 @@ def _emit(records, out_path: str | None, to_stdout: bool):
     lines = [json.dumps(r, sort_keys=True) for r in records]
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            for line in lines:  # no joined copy of the whole file in memory
+                fh.write(line + "\n")
     if to_stdout:
         for line in lines:
             print(line)
@@ -221,7 +225,10 @@ def cmd_verify(args) -> int:
                           coeffs=coeff_strings(r.enum_coeffs),
                           oracle_coeffs=coeff_strings(r.oracle_coeffs),
                           formula_coeffs=coeff_strings(r.formula_coeffs),
-                          meta={"seconds": round(r.seconds, 6)})
+                          meta={"seconds": round(r.seconds, 6),
+                                "enum_s": round(r.enum_s, 6),
+                                "oracle_s": round(r.oracle_s, 6),
+                                "formula_s": round(r.formula_s, 6)})
                    for r in report.rows]
         records.append(record("verify.summary", counts=counts,
                               q_set=q_set, kinds=list(kinds),
@@ -472,6 +479,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:
+        # never let a defect exit 1, which means "mismatch"
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,6 +6,13 @@ each required bracket against the basis rows (the coefficient on row t is the
 bracket's coordinate at pivot t, because RREF clears pivot columns) and check
 that the residual vanishes.  Nothing here touches the RRDF machinery; the two
 routes only share the field arithmetic itself.
+
+The batched count binds the free entries of a cell one at a time, in
+row-major order.  After each binding it runs every membership test (one
+bracket, one non-pivot column) whose highest free entry is now bound, then
+expands only the survivors by q.  It holds the bracket coordinates of one
+basis pair at a time.  Rows are int16 and field arithmetic is a flat gather,
+table.take(a*q + b), which stays below 256 because q <= MAX_Q = 16.
 """
 
 from __future__ import annotations
@@ -78,97 +85,94 @@ def _count_cell_scalar(L: LieAlgebra, pivots, kind: str) -> int:
 
 
 def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
-    """Same count computed over the whole Schubert cell with table lookups."""
-    ctx = L.ctx
-    q = ctx.q
+    """Same count as _count_cell_scalar, by prefix expansion (see above).
+
+    Free entries no test reads are never bound; each multiplies the count by q.
+    """
+    q = L.ctx.q
     n = L.n
-    k = len(pivots)
     free = _rref_free_positions(pivots, n)
-    m = len(free)
-    N = q**m
-    add_t, mul_t, _ = ctx.tables()
+    var_of = {pos: t for t, pos in enumerate(free)}
+    add_t, mul_t, neg_t = L.ctx.tables()
+    # flat int16 tables: a*q + b <= 255 because q <= MAX_Q
+    add_f, mul_f = add_t.ravel(), mul_t.ravel()
+    sub_f = add_t[:, neg_t].ravel()
 
-    idx = np.arange(N, dtype=np.int64)
-    vals = np.empty((N, m), dtype=np.int16)
-    for t in range(m - 1, -1, -1):
-        vals[:, t] = idx % q
-        idx //= q
+    # nonzero entries of each basis row: (column, free variable or None for 1)
+    rows = [[(p, None)] + [(c, var_of[(i, c)]) for c in range(p + 1, n)
+                           if (i, c) in var_of]
+            for i, p in enumerate(pivots)]
+    if kind == "subalgebra":
+        pairs = [(rows[i], rows[j]) for i in range(len(rows))
+                 for j in range(i + 1, len(rows))]
+    else:
+        pairs = [(x, [(j, None)]) for x in rows for j in range(n)]
 
-    def basis_entry(i, c, sel):
-        # row i of the basis at column c, as an array over current survivors
-        if c == pivots[i]:
-            return None  # constant 1
-        for t, (fi, fc) in enumerate(free):
-            if fi == i and fc == c:
-                return sel[:, t]
-        return 0  # constant zero
-
-    def bracket_coord(u_entries, v_entries, c, sel):
-        # coordinate c of [x, y] for x, y given per-column entry arrays
-        acc = np.zeros(len(sel), dtype=np.int16)
-        for u in range(n):
-            xu = u_entries[u]
-            if isinstance(xu, int) and xu == 0:
+    # tests[v]: (bracket coordinates, [(column, [(pivot, var)])]) per pair,
+    # for the tests whose highest free variable is v (-1 when they read none)
+    tests: dict[int, list] = {}
+    used: set[int] = set()
+    for x, y in pairs:
+        # coordinate d of [x, y] as monomials (s, var or None, var or None)
+        w = [[(s, tu, tv) for u, tu in x for v, tv in y if (s := L.sc[u][v][d])]
+             for d in range(n)]
+        checks: dict[int, list] = {}
+        for c in range(n):
+            if c in pivots:
                 continue
-            scu = L.sc[u]
-            for v in range(n):
-                s = scu[v][c]
-                if not s:
-                    continue
-                yv = v_entries[v]
-                if isinstance(yv, int) and yv == 0:
-                    continue
-                term = np.full(len(sel), s, dtype=np.int16)
-                if not (isinstance(xu, int) and xu == 1) and xu is not None:
-                    term = mul_t[term, xu]
-                if not (isinstance(yv, int) and yv == 1) and yv is not None:
-                    term = mul_t[term, yv]
-                acc = add_t[acc, term]
+            # residual w_c - sum_t w_(p_t) * b_t[c], since RREF clears pivot columns
+            terms = [(p, var_of[(t, c)]) for t, p in enumerate(pivots)
+                     if (t, c) in var_of and w[p]]
+            if not (w[c] or terms):
+                continue
+            read = {v for d in [c] + [p for p, _ in terms]
+                    for _, tu, tv in w[d] for v in (tu, tv) if v is not None}
+            read.update(v for _, v in terms)
+            used |= read
+            checks.setdefault(max(read, default=-1), []).append((c, terms))
+        for level, group in checks.items():
+            tests.setdefault(level, []).append((w, group))
+
+    order = sorted(used)
+    col_of = {v: i for i, v in enumerate(order)}
+    digits = np.arange(q, dtype=np.int16)
+    cols: list[np.ndarray] = []  # int16 values of the bound variables
+    size = 1
+
+    def coord(monos, cols, size):
+        # one bracket coordinate over the current rows
+        acc = np.zeros(size, dtype=np.int16)
+        for s, tu, tv in monos:
+            term = s
+            for v in (tu, tv):
+                if v is not None:
+                    term = mul_f.take(term * q + cols[col_of[v]])
+            acc = add_f.take(acc * q + term)
         return acc
 
-    def entries_for_row(i, sel):
-        out = []
-        for c in range(n):
-            e = basis_entry(i, c, sel)
-            if e is None:
-                out.append(1)
-            else:
-                out.append(e)
-        return out
-
-    def unit(j):
-        return [1 if c == j else 0 for c in range(n)]
-
-    if kind == "subalgebra":
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    else:
-        pairs = [(i, j) for i in range(k) for j in range(n)]
-
-    sel = vals
-    nonpivot = [c for c in range(n) if c not in pivots]
-    for i, j in pairs:
-        if len(sel) == 0:
-            return 0
-        xi = entries_for_row(i, sel)
-        yj = entries_for_row(j, sel) if kind == "subalgebra" else unit(j)
-        w = [bracket_coord(xi, yj, c, sel) for c in range(n)]
-        # reduce against the basis: coefficient on row t is w[pivot_t]
-        for c in nonpivot:
-            resid = w[c]
-            for t, p in enumerate(pivots):
-                coef = w[p]
-                bt = basis_entry(t, c, sel)
-                if isinstance(bt, int) and bt == 0:
-                    continue
-                term = coef if (isinstance(bt, int) and bt == 1) else mul_t[coef, bt]
-                resid = add_t[resid, mul_t[ctx.neg(1), term]]
-            keep = resid == 0
-            if not keep.all():
-                sel = sel[keep]
-                w = [arr[keep] if isinstance(arr, np.ndarray) else arr for arr in w]
-                if len(sel) == 0:
-                    return 0
-    return len(sel)
+    for level in [-1] + order:
+        if level >= 0:
+            cols = [np.repeat(col, q) for col in cols]
+            cols.append(np.tile(digits, size))
+            size *= q
+        for w, checks in tests.get(level, []):
+            vals: dict[int, np.ndarray] = {}  # this pair's bracket coordinates
+            for c, terms in checks:
+                for d in [c] + [p for p, _ in terms]:
+                    if d not in vals:
+                        vals[d] = coord(w[d], cols, size)
+                resid = vals[c]
+                for p, v in terms:
+                    prod = mul_f.take(vals[p] * q + cols[col_of[v]])
+                    resid = sub_f.take(resid * q + prod)
+                keep = np.flatnonzero(resid == 0)
+                if len(keep) < size:
+                    if not len(keep):
+                        return 0
+                    cols = [col.take(keep) for col in cols]
+                    vals = {d: a.take(keep) for d, a in vals.items()}
+                    size = len(keep)
+    return size * q ** (len(free) - len(order))
 
 
 def check_guard(n: int, q: int) -> None:

@@ -15,9 +15,13 @@ coordinates where the diagonal vanishes:
 for every k with a zero diagonal entry.  Conditions at k with diagonal 1
 are satisfiable for free and skipped.
 
-cell_count evaluates the conditions over a whole cell at once with numpy
-lookup-table arithmetic (compiled to monomials in the free entries,
-filtering survivors condition by condition); is_ideal / is_subalgebra do
+cell_count compiles the conditions to monomials in the free entries and
+scans the cell by prefix expansion: it binds one free entry at a time, in
+row-major order, applies every condition whose highest entry is now bound,
+and expands only the survivors by q, depth-first in batches of at most CHUNK
+rows.  Entries no condition reads are never bound; each multiplies the count
+by q.  Field arithmetic is a flat gather, table.take(a*q + b), on int32
+tables, since a*q + b reaches 65535 at q = 256.  is_ideal / is_subalgebra do
 the same test by direct matrix arithmetic for a single matrix.  Both paths
 are cross-checked in the test suite.
 """
@@ -34,7 +38,7 @@ from .gf import FieldCtx
 from .liealg import LieAlgebra
 from .zetapoly import ZetaPoly
 
-# Assignment batches for vectorised cell scans, bounds peak memory.
+# Rows expanded in one batch of a cell scan; bounds peak memory.
 CHUNK = 1 << 16
 
 
@@ -327,8 +331,6 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
     q = ctx.q
     m = cell_exponent(dt)
     conditions = _compile_conditions(L, dt, kind)
-    if not conditions:
-        return q**m
     # contradictions that involve no free entry kill the whole cell
     for monos in conditions:
         if all(not vars_ for _, vars_ in monos):
@@ -337,37 +339,58 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
                 s = ctx.add(s, c)
             if s != 0:
                 return 0
-    if m == 0:
-        return 1  # constant conditions all vanished above
+    # bind only the variables some condition reads, in row-major order; each
+    # condition runs right after its highest variable is bound
+    used = sorted({t for monos in conditions for _, vars_ in monos for t in vars_})
+    if not used:
+        return q**m
+    level = {t: i for i, t in enumerate(used)}
+    by_level: list[list] = [[] for _ in used]
+    for monos in conditions:
+        top = max(t for _, vars_ in monos for t in vars_)
+        by_level[level[top]].append(
+            [(c, tuple(level[t] for t in vars_)) for c, vars_ in monos])
+    # flat int32 tables: a*q + b reaches 65535 at q = 256
     add_t, mul_t, _ = ctx.tables()
-    total = 0
-    size = q**m
-    for start in range(0, size, CHUNK):
-        stop = min(start + CHUNK, size)
-        idx = np.arange(start, stop, dtype=np.int64)
-        X = np.empty((stop - start, m), dtype=np.int16)
-        for t in range(m - 1, -1, -1):
-            X[:, t] = idx % q
-            idx //= q
-        alive = X
-        dead = False
-        for monos in conditions:
-            acc = np.zeros(len(alive), dtype=np.int16)
+    add_rows = add_t.astype(np.int32)
+    mul_rows = mul_t.astype(np.int32)
+    add_f, mul_f = add_rows.ravel(), mul_rows.ravel()
+    digits = np.arange(q, dtype=np.int16)
+    step = max(1, CHUNK // q)  # survivor rows expanded per batch
+
+    def scan(cols, depth):
+        # cols: the int16 columns of variables 0..depth; count the rows that
+        # pass every condition, expanding survivors depth-first in batches
+        for monos in by_level[depth]:
+            acc = None
+            const = 0
             for c, vars_ in monos:
                 if not vars_:
-                    term = np.full(len(alive), c, dtype=np.int16)
-                else:
-                    term = mul_t[c, alive[:, vars_[0]]]
-                    for t in vars_[1:]:
-                        term = mul_t[term, alive[:, t]]
-                acc = add_t[acc, term]
-            alive = alive[acc == 0]
-            if len(alive) == 0:
-                dead = True
-                break
-        if not dead:
-            total += len(alive)
-    return total
+                    const = c
+                    continue
+                term = mul_rows[c].take(cols[vars_[0]])
+                for t in vars_[1:]:
+                    term = mul_f.take(term * q + cols[t])
+                acc = term if acc is None else add_f.take(acc * q + term)
+            if const:
+                acc = add_rows[const].take(acc)
+            keep = np.flatnonzero(acc == 0)
+            if len(keep) < len(acc):
+                cols = [col.take(keep) for col in cols]
+                if not len(keep):
+                    return 0
+        rows = len(cols[0])
+        if depth + 1 == len(used):
+            return rows
+        total = 0
+        for start in range(0, rows, step):
+            part = [col[start:start + step] for col in cols]
+            child = [np.repeat(col, q) for col in part]
+            child.append(np.tile(digits, len(part[0])))
+            total += scan(child, depth + 1)
+        return total
+
+    return scan([digits], 0) * q ** (m - len(used))
 
 
 @lru_cache(maxsize=32)

@@ -33,6 +33,16 @@ def test_campaign_l22_single():
     assert rep.ok
 
 
+def test_campaign_rows_time_each_route():
+    rep = an.verify_campaign(["L3", "M7"], q_set=(3,),
+                             kinds=("ideal", "subalgebra"), threads=1)
+    assert len(rep.rows) == 2 * (3 + 9)
+    for r in rep.rows:
+        routes = (r.enum_s, r.oracle_s, r.formula_s)
+        assert all(s >= 0 for s in routes)
+        assert sum(routes) <= r.seconds
+
+
 def test_campaign_m3_branches_at_q5():
     rep = an.verify_campaign(["M3"], q_set=(5,), kinds=("ideal",), threads=1)
     assert rep.ok and len(rep.rows) == 5

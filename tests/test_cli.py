@@ -5,8 +5,9 @@ from importlib import resources
 
 import pytest
 
-from fqzeta.cli import (EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
-                        display_from_record, main, parse_int_poly)
+from fqzeta import analysis
+from fqzeta.cli import (EXIT_GUARD, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
+                        EXIT_PARSE, display_from_record, main, parse_int_poly)
 
 
 def run(capsys, *argv):
@@ -115,6 +116,32 @@ def test_verify_bad_threads_env_exit_2(monkeypatch, capsys):
     code, _, err = run(capsys, "verify", "--q-set", "2")
     assert code == EXIT_PARSE
     assert err.count("\n") == 1 and "FQZETA_THREADS" in err
+
+
+def test_verify_out_records_route_seconds(tmp_path, capsys):
+    out_path = tmp_path / "report.jsonl"
+    code, _, _ = run(capsys, "verify", "--families", "L3,M8", "--q-set", "3",
+                     "--kinds", "both", "--threads", "1", "--out", str(out_path))
+    assert code == EXIT_OK
+    rows = [r for r in jsonl(out_path.read_text()) if r["command"] == "verify"]
+    assert len(rows) == 2 * (3 + 1)
+    for r in rows:
+        meta = r["meta"]
+        routes = [meta["enum_s"], meta["oracle_s"], meta["formula_s"]]
+        assert all(s >= 0 for s in routes)
+        # each field is rounded to 1e-6 on its own
+        assert sum(routes) <= meta["seconds"] + 2e-6
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(analysis, "verify_campaign", broken)
+    code, _, err = run(capsys, "verify", "--families", "L22", "--q-set", "3",
+                       "--threads", "1")
+    assert code == EXIT_INTERNAL
+    assert "error: internal: RuntimeError: simulated defect" in err
 
 
 def test_verify_m12_char2_anomaly_exit_zero(capsys):

@@ -1,3 +1,6 @@
+import ast
+from importlib import resources
+
 import pytest
 
 from fqzeta.formulas import gaussian_binomial
@@ -76,3 +79,20 @@ def test_ideal_counts_never_exceed_subalgebra_counts():
         zi = zeta_oracle(L, "ideal")
         zs = zeta_oracle(L, "subalgebra")
         assert zi <= zs
+
+
+def test_oracle_imports_nothing_from_the_cell_route():
+    # the cross-check is only as strong as the independence of the routes
+    source = (resources.files("fqzeta") / "oracle.py").read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(part for part in
+                              ("fqzeta" if node.level else "", node.module) if part)
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert "fqzeta.liealg" in imported  # relative imports resolve to the package
+    bad = [name for name in imported
+           if name == "fqzeta.rrdf" or name.startswith("fqzeta.rrdf.")]
+    assert not bad

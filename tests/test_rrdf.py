@@ -1,8 +1,10 @@
 import pytest
 
-from fqzeta.formulas import VarietyId, gaussian_binomial, variety_count
+from fqzeta import rrdf
+from fqzeta.formulas import (VarietyId, closed_form, evaluate,
+                             gaussian_binomial, variety_count)
 from fqzeta.gf import make_field
-from fqzeta.liealg import catalog, from_structure_constants
+from fqzeta.liealg import FAMILIES, catalog, from_structure_constants, valid_params
 from fqzeta.rrdf import (CHUNK, DiagonalType, DimensionMismatch, cell_count,
                          cell_count_scalar, cell_size, diagonal_types,
                          enumerate_cell, is_ideal, is_subalgebra,
@@ -219,6 +221,42 @@ def test_vector_path_chunks_large_cells():
     assert cell_size(big, 13) == 13**4
     assert 13**4 > CHUNK / 4  # sanity: the chunking code path is exercised
     assert cell_count(L, big, "ideal") == 13**4
+
+
+def test_batched_expansion_matches_scalar(monkeypatch):
+    # a tiny CHUNK expands two survivor rows per batch, so non-abelian cells
+    # run through many batches at every depth
+    monkeypatch.setattr(rrdf, "CHUNK", 8)
+    batched = 0
+    for fam, params, (p, k) in [("L3", (1,), (3, 1)), ("M7", (1, 1), (3, 1)),
+                                ("M12", (), (3, 1)), ("M8", (), (2, 2))]:
+        ctx = make_field(p, k)
+        L = catalog(fam, params, ctx)
+        for t in diagonal_types(L.n):
+            batched += cell_size(t, ctx.q) > 8
+            for kind in ("ideal", "subalgebra"):
+                assert cell_count(L, t, kind) == cell_count_scalar(L, t, kind), \
+                    (fam, params, ctx.q, t, kind)
+    assert batched
+
+
+@pytest.mark.parametrize("p,k", [(251, 1), (2, 8)])
+def test_wide_fields_match_closed_forms(p, k):
+    # flat indices a*q + b reach 62999 at q = 251 and 65535 at q = 256
+    ctx = make_field(p, k)
+    rows = 0
+    for fam, (n, _) in FAMILIES.items():
+        if n > 3:
+            continue
+        grid = valid_params(fam, ctx)
+        for params in dict.fromkeys(grid[:3] + grid[-2:]):
+            L = catalog(fam, params, ctx)
+            for kind in ("ideal", "subalgebra"):
+                want = evaluate(closed_form(fam, params, kind, ctx), params, ctx)
+                assert zeta_enumerate(L, kind).coeffs == want.coeffs, \
+                    (fam, params, ctx.q, kind)
+                rows += 1
+    assert rows == 30
 
 
 def test_zeta_enumerate_examples():
