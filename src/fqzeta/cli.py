@@ -16,9 +16,9 @@ import sys
 import time
 import traceback
 
-from . import analysis
+from . import __version__, analysis
 from .analysis import factor_prime_power, threads_from_env
-from .formulas import UnknownBranch, closed_form, evaluate
+from .formulas import TABLE_VERSION, UnknownBranch, closed_form, evaluate
 from .gf import DegreeZero, NotPrime, TooLarge, make_field
 from .liealg import (FAMILIES, BadArity, BadCatalogId, M9ParamReducible,
                      catalog, describe_instance, is_nilpotent,
@@ -228,7 +228,9 @@ def cmd_verify(args) -> int:
                           meta={"seconds": round(r.seconds, 6),
                                 "enum_s": round(r.enum_s, 6),
                                 "oracle_s": round(r.oracle_s, 6),
-                                "formula_s": round(r.formula_s, 6)})
+                                "formula_s": round(r.formula_s, 6),
+                                "fqzeta_version": __version__,
+                                "table_version": TABLE_VERSION})
                    for r in report.rows]
         records.append(record("verify.summary", counts=counts,
                               q_set=q_set, kinds=list(kinds),

@@ -371,6 +371,10 @@ def _parse_expr(tokens: list[str]) -> _Sym:
 
 # -- branch table -----------------------------------------------------------
 
+# The one branch-table format this parser reads, from the table's
+# "version N" line; every loaded table carries it.
+TABLE_VERSION = "1"
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -418,7 +422,7 @@ def _parse_table(text: str) -> dict[tuple[str, str], list[Branch]]:
         if not line:
             continue
         if line.startswith("version"):
-            if line.split() != ["version", "1"]:
+            if line.split() != ["version", TABLE_VERSION]:
                 raise BranchTableError(f"unsupported table version: {line!r}")
             saw_version = True
             continue

@@ -12,12 +12,21 @@ row-major order.  After each binding it runs every membership test (one
 bracket, one non-pivot column) whose highest free entry is now bound, then
 expands only the survivors by q.  It holds the bracket coordinates of one
 basis pair at a time.  Rows are int16 and field arithmetic is a flat gather,
-table.take(a*q + b), which stays below 256 because q <= MAX_Q = 16.
+table.take(a*q + b), on tables built once per field; a*q + b stays below 256
+because q <= MAX_Q = 16.
+
+The tests depend on the algebra only through its structure constants.  A
+template built once per (pivots, n, kind), on first use, and cached for the
+life of the process records which bracket slot [e_u, e_v] feeds which
+monomial of which basis pair, and the residual terms each non-pivot column
+may need; each algebra fills it in by walking its nonzero structure
+constants sc[u][v][d].
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,20 +93,19 @@ def _count_cell_scalar(L: LieAlgebra, pivots, kind: str) -> int:
     return count
 
 
-def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
-    """Same count as _count_cell_scalar, by prefix expansion (see above).
+@lru_cache(maxsize=None)  # keyed by shape only: at most 2 * 2^n entries per n
+def _template(pivots: tuple[int, ...], n: int, kind: str):
+    """The algebra-free part of a cell's membership tests:
+    (free-entry count, pair count, feeds, candidates).
 
-    Free entries no test reads are never bound; each multiplies the count by q.
+    feeds[u*n + v] lists the (pair, variables) slots that the bracket
+    [e_u, e_v] feeds: each pair of bracketed vectors whose entries at u and
+    v are 1 or a free variable, with those variables.  candidates lists, for
+    each non-pivot column c, the residual terms (pivot column p_t, variable
+    of b_t[c]) its tests may need.
     """
-    q = L.ctx.q
-    n = L.n
     free = _rref_free_positions(pivots, n)
     var_of = {pos: t for t, pos in enumerate(free)}
-    add_t, mul_t, neg_t = L.ctx.tables()
-    # flat int16 tables: a*q + b <= 255 because q <= MAX_Q
-    add_f, mul_f = add_t.ravel(), mul_t.ravel()
-    sub_f = add_t[:, neg_t].ravel()
-
     # nonzero entries of each basis row: (column, free variable or None for 1)
     rows = [[(p, None)] + [(c, var_of[(i, c)]) for c in range(p + 1, n)
                            if (i, c) in var_of]
@@ -107,60 +115,107 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
                  for j in range(i + 1, len(rows))]
     else:
         pairs = [(x, [(j, None)]) for x in rows for j in range(n)]
+    feeds: list[list] = [[] for _ in range(n * n)]
+    for pair, (x, y) in enumerate(pairs):
+        for u, tu in x:
+            for v, tv in y:
+                feeds[u * n + v].append(
+                    (pair, tuple(t for t in (tu, tv) if t is not None)))
+    candidates = tuple(
+        (c, tuple((p, var_of[(t, c)]) for t, p in enumerate(pivots)
+                  if (t, c) in var_of))
+        for c in range(n) if c not in pivots)
+    return len(free), len(pairs), tuple(tuple(f) for f in feeds), candidates
+
+
+@lru_cache(maxsize=16)
+def _gathers(ctx):
+    """(flat add, flat mul, flat sub, digits) of one field, built once per
+    field; int16, since a*q + b <= 255 because q <= MAX_Q."""
+    add_t, mul_t, neg_t = ctx.tables()
+    out = (add_t.ravel(), mul_t.ravel(), add_t[:, neg_t].ravel(),
+           np.arange(ctx.q, dtype=np.int16))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
+    """Same count as _count_cell_scalar, by prefix expansion (see above).
+
+    Free entries no test reads are never bound; each multiplies the count by q.
+    """
+    q = L.ctx.q
+    n = L.n
+    m, npairs, feeds, candidates = _template(tuple(pivots), n, kind)
+    # w[pair][d]: coordinate d of the pair's bracket as (s, variables)
+    # monomials, from the nonzero structure constants
+    w: list = [None] * npairs
+    for u, plane in enumerate(L.sc):
+        for v, line in enumerate(plane):
+            slots = feeds[u * n + v]
+            if not slots:
+                continue
+            for d, s in enumerate(line):
+                if s:
+                    for pair, vars_ in slots:
+                        coords = w[pair]
+                        if coords is None:
+                            coords = w[pair] = [[] for _ in range(n)]
+                        coords[d].append((s, vars_))
 
     # tests[v]: (bracket coordinates, [(column, [(pivot, var)])]) per pair,
     # for the tests whose highest free variable is v (-1 when they read none)
     tests: dict[int, list] = {}
     used: set[int] = set()
-    for x, y in pairs:
-        # coordinate d of [x, y] as monomials (s, var or None, var or None)
-        w = [[(s, tu, tv) for u, tu in x for v, tv in y if (s := L.sc[u][v][d])]
-             for d in range(n)]
+    for coords in w:
+        if coords is None:
+            continue
         checks: dict[int, list] = {}
-        for c in range(n):
-            if c in pivots:
-                continue
+        for c, cand in candidates:
             # residual w_c - sum_t w_(p_t) * b_t[c], since RREF clears pivot columns
-            terms = [(p, var_of[(t, c)]) for t, p in enumerate(pivots)
-                     if (t, c) in var_of and w[p]]
-            if not (w[c] or terms):
+            terms = [(p, v) for p, v in cand if coords[p]]
+            if not (coords[c] or terms):
                 continue
-            read = {v for d in [c] + [p for p, _ in terms]
-                    for _, tu, tv in w[d] for v in (tu, tv) if v is not None}
+            read = {t for d in [c] + [p for p, _ in terms]
+                    for _, vars_ in coords[d] for t in vars_}
             read.update(v for _, v in terms)
             used |= read
             checks.setdefault(max(read, default=-1), []).append((c, terms))
         for level, group in checks.items():
-            tests.setdefault(level, []).append((w, group))
+            tests.setdefault(level, []).append((coords, group))
 
     order = sorted(used)
     col_of = {v: i for i, v in enumerate(order)}
-    digits = np.arange(q, dtype=np.int16)
+    add_f, mul_f, sub_f, digits = _gathers(L.ctx)
     cols: list[np.ndarray] = []  # int16 values of the bound variables
     size = 1
 
     def coord(monos, cols, size):
-        # one bracket coordinate over the current rows
-        acc = np.zeros(size, dtype=np.int16)
-        for s, tu, tv in monos:
+        # one bracket coordinate over the current rows, accumulated from its
+        # first monomial
+        acc = None
+        for s, vars_ in monos:
             term = s
-            for v in (tu, tv):
-                if v is not None:
-                    term = mul_f.take(term * q + cols[col_of[v]])
-            acc = add_f.take(acc * q + term)
-        return acc
+            for v in vars_:
+                term = mul_f.take(term * q + cols[col_of[v]])
+            acc = term if acc is None else add_f.take(acc * q + term)
+        if isinstance(acc, np.ndarray):
+            return acc
+        # a coordinate that reads no variable is one constant on every row
+        return np.full(size, acc or 0, np.int16)
 
     for level in [-1] + order:
         if level >= 0:
             cols = [np.repeat(col, q) for col in cols]
             cols.append(np.tile(digits, size))
             size *= q
-        for w, checks in tests.get(level, []):
+        for coords, checks in tests.get(level, []):
             vals: dict[int, np.ndarray] = {}  # this pair's bracket coordinates
             for c, terms in checks:
                 for d in [c] + [p for p, _ in terms]:
                     if d not in vals:
-                        vals[d] = coord(w[d], cols, size)
+                        vals[d] = coord(coords[d], cols, size)
                 resid = vals[c]
                 for p, v in terms:
                     prod = mul_f.take(vals[p] * q + cols[col_of[v]])
@@ -172,7 +227,7 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
                     cols = [col.take(keep) for col in cols]
                     vals = {d: a.take(keep) for d, a in vals.items()}
                     size = len(keep)
-    return size * q ** (len(free) - len(order))
+    return size * q ** (m - len(order))
 
 
 def check_guard(n: int, q: int) -> None:

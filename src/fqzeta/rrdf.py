@@ -15,15 +15,21 @@ coordinates where the diagonal vanishes:
 for every k with a zero diagonal entry.  Conditions at k with diagonal 1
 are satisfiable for free and skipped.
 
-cell_count compiles the conditions to monomials in the free entries and
-scans the cell by prefix expansion: it binds one free entry at a time, in
-row-major order, applies every condition whose highest entry is now bound,
-and expands only the survivors by q, depth-first in batches of at most CHUNK
-rows.  Entries no condition reads are never bound; each multiplies the count
-by q.  Field arithmetic is a flat gather, table.take(a*q + b), on int32
-tables, since a*q + b reaches 65535 at q = 256.  is_ideal / is_subalgebra do
-the same test by direct matrix arithmetic for a single matrix.  Both paths
-are cross-checked in the test suite.
+The conditions are sums of monomials in the free entries whose coefficients
+are structure constants.  Which constant feeds which monomial depends only on
+the cell and the kind, so a template recording it is built once per
+(DiagonalType, kind), on first use, and cached for the life of the process;
+each algebra specialises it by walking only its nonzero structure constants,
+then merges the monomials, drops zero ones and orders the conditions.
+
+cell_count scans the cell by prefix expansion: it binds one free entry at a
+time, in row-major order, applies every condition whose highest entry is now
+bound, and expands only the survivors by q, depth-first in batches of at most
+CHUNK rows.  Entries no condition reads are never bound; each multiplies the
+count by q.  Field arithmetic is a flat gather, table.take(a*q + b), on int32
+tables built once per field, since a*q + b reaches 65535 at q = 256.
+is_ideal / is_subalgebra do the same test by direct matrix arithmetic for a
+single matrix.  Both paths are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -220,96 +226,105 @@ def is_subalgebra(M: RrdfMatrix, L: LieAlgebra) -> bool:
 
 # -- vectorised cell counting -------------------------------------------
 #
-# Conditions are compiled once per (algebra, cell, kind) into monomial lists
-# over the free entries; every entry of M and M# is 0, 1 or (minus) a single
-# free variable, so each condition is a short sum of monomials of degree at
-# most 3 with constant coefficients taken from the adjoint matrices.
+# Every entry of M and M# is 0, 1 or (minus) a single free variable, so each
+# condition is a short sum of monomials of degree at most 3 in the free
+# entries, with structure constants as coefficients.  Which structure
+# constant feeds which monomial of which condition depends only on the cell
+# and the kind: _template records it once per (cell, kind), and _conditions
+# specialises it to one algebra by walking its nonzero structure constants.
 
 
-def _row_support(dt: DiagonalType):
-    pos = free_positions(dt)
+@lru_cache(maxsize=None)  # keyed by shape only: at most 2 * 2^n entries per n
+def _template(dt: DiagonalType, kind: str):
+    """(m, feeds): the cell's number of free entries, and for each
+    structure-constant slot sc[u][j][v], at flat index (u*n + j)*n + v, the
+    (condition, negated?, sorted variables) monomials it feeds."""
     n = dt.n
-    by_row: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (col, var)
-    by_col: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (row, var)
-    for t, (r, c) in enumerate(pos):
-        by_row[r].append((c, t))
-        by_col[c].append((r, t))
-    return pos, by_row, by_col
-
-
-def _compile_conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
-    """List of conditions; each is a list of (coeff, vars) monomials."""
-    ctx = L.ctx
-    n = L.n
     d = dt.pattern()
-    _, by_row, by_col = _row_support(dt)
-    Cs = L.adjoint_matrices()
+    pos = free_positions(dt)
+    # entries of row i of M and of column k of M#: (index, var or None);
+    # a variable of M# enters with a minus sign
+    row = [[(i, None)] for i in range(n)]
+    col = [[(k, None)] for k in range(n)]
+    for t, (r, c) in enumerate(pos):
+        row[r].append((c, t))
+        col[c].append((r, t))
     ones = [i for i in range(n) if d[i] == 1]
     zeros = [k for k in range(n) if d[k] == 0]
+    if kind == "ideal":
+        # (m_i C_j M#)_k with C_j[u][v] = sc[u][j][v]
+        conds = [(row[i], [(j, None)], col[k])
+                 for i in ones for j in range(n) for k in zeros]
+    else:
+        # (m_i A_j M#)_k with A_j = sum_l m_(j,l) C_l
+        conds = [(row[i], row[j], col[k])
+                 for j in ones for i in ones if i < j for k in zeros]
+    feeds: list[list] = [[] for _ in range(n**3)]
+    for ci, (us, ls, vs) in enumerate(conds):
+        for u, tu in us:
+            for l, tl in ls:
+                for v, tv in vs:
+                    key = tuple(sorted(t for t in (tu, tl, tv) if t is not None))
+                    feeds[(u * n + l) * n + v].append((ci, tv is not None, key))
+    return len(pos), tuple(tuple(f) for f in feeds)
 
-    def row_terms(i):
-        # (u, coeff-is-one?, var or None) entries of m_i
-        return [(i, None)] + [(c, t) for c, t in by_row[i]]
 
-    def sharp_col_terms(k):
-        # (v, var or None); a var contributes with a minus sign
-        return [(k, None)] + [(r, t) for r, t in by_col[k]]
-
-    def cond_ideal(i, j, k):
-        monos = []
-        Cj = Cs[j]
-        for u, tu in row_terms(i):
-            for v, tv in sharp_col_terms(k):
-                c = Cj[u][v]
+def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
+    """(m, levels): the cell's template specialised to L.  levels[i] holds
+    the conditions whose highest variable is the i-th variable any condition
+    reads, in row-major order, cheapest first; each condition is a list of
+    (coeff, level indices) monomials with nonzero coefficients.  levels is
+    None when a nonzero constant condition kills the whole cell."""
+    add, neg = L.ctx.add, L.ctx.neg
+    m, feeds = _template(dt, kind)
+    polys: dict[int, dict[tuple[int, ...], int]] = {}
+    slot = -1
+    for plane in L.sc:
+        for line in plane:
+            for c in line:
+                slot += 1
                 if not c:
                     continue
-                if tv is not None:
-                    c = ctx.neg(c)
-                vars_ = tuple(t for t in (tu, tv) if t is not None)
-                monos.append((c, vars_))
-        return monos
-
+                minus_c = neg(c)
+                for ci, minus, key in feeds[slot]:
+                    poly = polys.get(ci)
+                    if poly is None:
+                        poly = polys[ci] = {}
+                    poly[key] = add(poly.get(key, 0), minus_c if minus else c)
     conditions = []
-    if kind == "ideal":
-        for i in ones:
-            for j in range(n):
-                for k in zeros:
-                    monos = cond_ideal(i, j, k)
-                    if monos:
-                        conditions.append(monos)
-    else:
-        for j in ones:
-            for i in ones:
-                if i >= j:
-                    break
-                for k in zeros:
-                    monos = []
-                    for l, tl in row_terms(j):
-                        for u, tu in row_terms(i):
-                            for v, tv in sharp_col_terms(k):
-                                c = Cs[l][u][v]
-                                if not c:
-                                    continue
-                                if tv is not None:
-                                    c = ctx.neg(c)
-                                vars_ = tuple(t for t in (tl, tu, tv)
-                                              if t is not None)
-                                monos.append((c, vars_))
-                    if monos:
-                        conditions.append(monos)
-    # merge duplicate monomials within each condition
-    merged = []
-    for monos in conditions:
-        acc: dict[tuple[int, ...], int] = {}
-        for c, vars_ in monos:
-            key = tuple(sorted(vars_))
-            acc[key] = ctx.add(acc.get(key, 0), c)
-        monos = [(c, vars_) for vars_, c in acc.items() if c]
-        if monos:
-            merged.append(monos)
-    # constant, then cheap, conditions first: they prune the cell fastest
-    merged.sort(key=lambda ms: (max(len(v) for _, v in ms), len(ms)))
-    return merged
+    used: set[int] = set()
+    for ci in sorted(polys):
+        monos = [(c, key) for key, c in polys[ci].items() if c]
+        if not monos:
+            continue
+        keys = [key for _, key in monos]
+        degree = max(map(len, keys))
+        if not degree:  # a nonzero constant: no matrix of the cell solves it
+            return m, None
+        conditions.append((degree, len(monos), max(k[-1] for k in keys if k), monos))
+        used.update(t for k in keys for t in k)
+    # low-degree, then short, conditions first: they prune the cell fastest
+    conditions.sort(key=lambda cond: cond[:2])
+    level = {t: i for i, t in enumerate(sorted(used))}
+    levels: list[list] = [[] for _ in level]
+    for _, _, top, monos in conditions:
+        levels[level[top]].append(
+            [(c, tuple(level[t] for t in key)) for c, key in monos])
+    return m, levels
+
+
+@lru_cache(maxsize=16)
+def _gathers(ctx: FieldCtx):
+    """(add rows, mul rows, flat add, flat mul, digits) of one field, built
+    once per field; int32, since a*q + b reaches 65535 at q = 256."""
+    add_t, mul_t, _ = ctx.tables()
+    add_rows = add_t.astype(np.int32)
+    mul_rows = mul_t.astype(np.int32)
+    out = (add_rows, mul_rows, add_rows.ravel(), mul_rows.ravel(),
+           np.arange(ctx.q, dtype=np.int16))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def cell_count_scalar(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
@@ -327,41 +342,21 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         raise ValueError(f"kind must be 'ideal' or 'subalgebra', got {kind!r}")
     if dt.n != L.n:
         raise DimensionMismatch(f"cell is for n={dt.n}, algebra has n={L.n}")
-    ctx = L.ctx
-    q = ctx.q
-    m = cell_exponent(dt)
-    conditions = _compile_conditions(L, dt, kind)
-    # contradictions that involve no free entry kill the whole cell
-    for monos in conditions:
-        if all(not vars_ for _, vars_ in monos):
-            s = 0
-            for c, _ in monos:
-                s = ctx.add(s, c)
-            if s != 0:
-                return 0
+    q = L.ctx.q
+    m, levels = _conditions(L, dt, kind)
+    if levels is None:
+        return 0
+    if not levels:  # no condition reads a free entry
+        return q**m
     # bind only the variables some condition reads, in row-major order; each
     # condition runs right after its highest variable is bound
-    used = sorted({t for monos in conditions for _, vars_ in monos for t in vars_})
-    if not used:
-        return q**m
-    level = {t: i for i, t in enumerate(used)}
-    by_level: list[list] = [[] for _ in used]
-    for monos in conditions:
-        top = max(t for _, vars_ in monos for t in vars_)
-        by_level[level[top]].append(
-            [(c, tuple(level[t] for t in vars_)) for c, vars_ in monos])
-    # flat int32 tables: a*q + b reaches 65535 at q = 256
-    add_t, mul_t, _ = ctx.tables()
-    add_rows = add_t.astype(np.int32)
-    mul_rows = mul_t.astype(np.int32)
-    add_f, mul_f = add_rows.ravel(), mul_rows.ravel()
-    digits = np.arange(q, dtype=np.int16)
+    add_rows, mul_rows, add_f, mul_f, digits = _gathers(L.ctx)
     step = max(1, CHUNK // q)  # survivor rows expanded per batch
 
     def scan(cols, depth):
         # cols: the int16 columns of variables 0..depth; count the rows that
         # pass every condition, expanding survivors depth-first in batches
-        for monos in by_level[depth]:
+        for monos in levels[depth]:
             acc = None
             const = 0
             for c, vars_ in monos:
@@ -380,7 +375,7 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
                 if not len(keep):
                     return 0
         rows = len(cols[0])
-        if depth + 1 == len(used):
+        if depth + 1 == len(levels):
             return rows
         total = 0
         for start in range(0, rows, step):
@@ -390,7 +385,7 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
             total += scan(child, depth + 1)
         return total
 
-    return scan([digits], 0) * q ** (m - len(used))
+    return scan([digits], 0) * q ** (m - len(levels))
 
 
 @lru_cache(maxsize=32)

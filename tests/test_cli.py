@@ -5,9 +5,11 @@ from importlib import resources
 
 import pytest
 
+import fqzeta
 from fqzeta import analysis
 from fqzeta.cli import (EXIT_GUARD, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                         EXIT_PARSE, display_from_record, main, parse_int_poly)
+from fqzeta.formulas import TABLE_VERSION
 
 
 def run(capsys, *argv):
@@ -131,6 +133,13 @@ def test_verify_out_records_route_seconds(tmp_path, capsys):
         assert all(s >= 0 for s in routes)
         # each field is rounded to 1e-6 on its own
         assert sum(routes) <= meta["seconds"] + 2e-6
+        # versions ride along; adding fields keeps schema_version "1"
+        assert r["schema_version"] == "1"
+        assert meta["fqzeta_version"] == fqzeta.__version__
+        assert meta["table_version"] == TABLE_VERSION
+    # the recorded table version is the packaged table's own version line
+    text = (resources.files("fqzeta") / "tables" / "zeta_branches.txt").read_text()
+    assert f"version {TABLE_VERSION}" in text.splitlines()
 
 
 def test_internal_error_exit_4(monkeypatch, capsys):

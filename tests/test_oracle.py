@@ -1,4 +1,5 @@
 import ast
+import itertools
 from importlib import resources
 
 import pytest
@@ -45,7 +46,6 @@ def test_bad_kind():
 
 
 def test_vector_and_scalar_oracle_agree():
-    import itertools
     for fam, params, q in [("L22", (), 3), ("L3", (2,), 3), ("M7", (1, 1), 2),
                            ("M8", (), 3)]:
         ctx = make_field(q, 1)
@@ -70,6 +70,36 @@ def test_oracle_matches_enumeration_on_a_sample():
                 for kind in ("ideal", "subalgebra"):
                     assert zeta_oracle(L, kind).coeffs == \
                         zeta_enumerate(L, kind).coeffs
+
+
+
+def _direct_sum(A, B):
+    n = A.n + B.n
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for off, part in ((0, A), (A.n, B)):
+        for i, j, k in itertools.product(range(part.n), repeat=3):
+            sc[off + i][off + j][off + k] = part.sc[i][j][k]
+    return from_structure_constants(A.ctx, n, sc)
+
+
+def test_five_dimensional_direct_sums():
+    # n = 5 lies outside the catalog and the campaign; the routes must agree
+    for p, k in [(2, 1), (3, 1), (2, 2)]:
+        ctx = make_field(p, k)
+        q = ctx.q
+        for left, right in [(("L22", ()), ("L2", ())),
+                            (("L21", ()), ("L4", (0,))),
+                            (("L21", ()), ("L4", (q - 1,)))]:
+            L = _direct_sum(catalog(*left, ctx), catalog(*right, ctx))
+            zs = {}
+            for kind in ("ideal", "subalgebra"):
+                z = zeta_oracle(L, kind)
+                assert zeta_enumerate(L, kind).coeffs == z.coeffs, (left, right, q, kind)
+                assert z.coeffs[0] == z.coeffs[5] == 1
+                zs[kind] = z
+            assert zs["ideal"] <= zs["subalgebra"]
+            # every line is a subalgebra
+            assert zs["subalgebra"].coeffs[4] == gaussian_binomial(5, 1, q)
 
 
 def test_ideal_counts_never_exceed_subalgebra_counts():
