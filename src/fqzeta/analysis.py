@@ -410,7 +410,7 @@ def period_parity(family: str, q_set, int_tuples=None):
 # -- isospectral pairs -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsoPair:
     left: tuple[str, tuple[int, ...]]
     right: tuple[str, tuple[int, ...]]

@@ -10,6 +10,11 @@ threads and processes.
 The extension modulus is always the lexicographically smallest monic
 irreducible polynomial of the right degree (coefficients compared low to
 high), which makes the encoding reproducible without external tables.
+
+count_roots scans the whole field.  On a prime field it evaluates the
+polynomial at every element at once, by Horner's rule on one int64 numpy
+vector updated in place, reducing mod p only once every two steps; since
+q <= Q_LIMIT = 2^20, entries stay below p^3 < 2^63 between reductions.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+# Largest field order; count_roots relies on Q_LIMIT**3 < 2**63.
 Q_LIMIT = 1 << 20
 # Largest q for which dense add/mul lookup tables are built on demand.
 TABLE_LIMIT = 256
@@ -340,10 +346,14 @@ def count_roots(f, ctx: FieldCtx) -> int:
     """Number of x in F_q with f(x) = 0, by exhaustive scan over the field.
 
     The zero polynomial vanishes everywhere and returns q.  Prime fields scan
-    all of F_p at once with a numpy Horner loop mod p; extension fields run
-    the scalar Horner loop of UniPoly.eval through ctx.add and ctx.mul.  The
-    scan is the unconditional ground truth used by everything else in the
-    package; it is never replaced by factorisation.
+    all of F_p at once with one numpy Horner loop over an int64 vector of the
+    field elements, updated in place: the coefficients are reduced mod p once,
+    and the vector is reduced mod p only once every two Horner steps and at
+    the end.  That is exact because p <= Q_LIMIT = 2^20: from a reduced vector
+    (entries < p) two steps stay below p^3 < 2^63.  Extension fields run the
+    scalar Horner loop of UniPoly.eval through ctx.add and ctx.mul.  The scan
+    is the unconditional ground truth used by everything else in the package;
+    it is never replaced by factorisation.
     """
     poly = f if isinstance(f, UniPoly) else UniPoly.of(f)
     deg = poly.degree()
@@ -352,11 +362,18 @@ def count_roots(f, ctx: FieldCtx) -> int:
     if deg == 0:
         return 0
     if ctx.k == 1:
-        # Horner over a numpy vector of all field elements; p^2 < 2^63 so
-        # int64 products never overflow between reductions.
-        x = np.arange(ctx.q, dtype=np.int64)
-        v = np.zeros(ctx.q, dtype=np.int64)
-        for c in reversed(poly.coeffs[: deg + 1]):
-            v = (v * x + c) % ctx.p
-        return int(np.count_nonzero(v == 0))
+        p = ctx.p
+        c = [a % p for a in reversed(poly.coeffs[: deg + 1])]  # leading first
+        x = np.arange(p, dtype=np.int64)
+        # Horner from the reduced value c[0]; every entry of v is < p after a
+        # reduction, so the two steps that follow stay below p^3 < 2^63
+        v = x * c[0]
+        v += c[1]
+        for i in range(2, deg + 1):
+            if i % 2:
+                np.remainder(v, p, out=v)
+            v *= x
+            v += c[i]
+        np.remainder(v, p, out=v)
+        return p - int(np.count_nonzero(v))
     return sum(1 for x in range(ctx.q) if poly.eval(ctx, x) == 0)

@@ -10,10 +10,11 @@ routes only share the field arithmetic itself.
 The batched count binds the free entries of a cell one at a time, in
 row-major order.  After each binding it runs every membership test (one
 bracket, one non-pivot column) whose highest free entry is now bound, then
-expands only the survivors by q.  It holds the bracket coordinates of one
-basis pair at a time.  Rows are int16 and field arithmetic is a flat gather,
-table.take(a*q + b), on tables built once per field; a*q + b stays below 256
-because q <= MAX_Q = 16.
+expands only the survivors by q.  A test that reads no free entry is one
+field constant, decided with ctx.add before the scan starts.  The scan holds
+the bracket coordinates of one basis pair at a time.  Rows are int16 and
+field arithmetic is a flat gather, table.take(a*q + b), on tables built once
+per field; a*q + b stays below 256 because q <= MAX_Q = 16.
 
 The tests depend on the algebra only through its structure constants.  A
 template built once per (pivots, n, kind), on first use, and cached for the
@@ -26,7 +27,7 @@ constants sc[u][v][d].
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -165,7 +166,9 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
                         coords[d].append((s, vars_))
 
     # tests[v]: (bracket coordinates, [(column, [(pivot, var)])]) per pair,
-    # for the tests whose highest free variable is v (-1 when they read none)
+    # for the tests whose highest free variable is v.  A test that reads no
+    # variable is one constant on every row, decided here.
+    add = L.ctx.add
     tests: dict[int, list] = {}
     used: set[int] = set()
     for coords in w:
@@ -180,8 +183,12 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
             read = {t for d in [c] + [p for p, _ in terms]
                     for _, vars_ in coords[d] for t in vars_}
             read.update(v for _, v in terms)
+            if not read:
+                if reduce(add, (s for s, _ in coords[c]), 0):
+                    return 0
+                continue
             used |= read
-            checks.setdefault(max(read, default=-1), []).append((c, terms))
+            checks.setdefault(max(read), []).append((c, terms))
         for level, group in checks.items():
             tests.setdefault(level, []).append((coords, group))
 
@@ -205,11 +212,10 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
         # a coordinate that reads no variable is one constant on every row
         return np.full(size, acc or 0, np.int16)
 
-    for level in [-1] + order:
-        if level >= 0:
-            cols = [np.repeat(col, q) for col in cols]
-            cols.append(np.tile(digits, size))
-            size *= q
+    for level in order:
+        cols = [np.repeat(col, q) for col in cols]
+        cols.append(np.tile(digits, size))
+        size *= q
         for coords, checks in tests.get(level, []):
             vals: dict[int, np.ndarray] = {}  # this pair's bracket coordinates
             for c, terms in checks:

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fqzeta.gf import (DegreeZero, DivisionByZero, FieldCtx, NotPrime,
-                       TooLarge, UniPoly, count_roots, make_field)
+from fqzeta.gf import (Q_LIMIT, DegreeZero, DivisionByZero, FieldCtx,
+                       NotPrime, TooLarge, UniPoly, count_roots, is_prime,
+                       make_field)
 
 
 def brute_poly_eval_fp(coeffs, x, p):
@@ -167,14 +168,30 @@ def test_count_roots_of_products_is_union():
 
 
 def test_count_roots_fast_path_matches_scalar():
-    # prime fields take the numpy mod-p Horner scan
+    # prime fields take the numpy mod-p Horner scan; lengths 2..8 run both
+    # parities of its reduce-every-two-steps schedule
     ctx = make_field(101, 1)
     rng = random.Random(3)
-    for _ in range(20):
-        coeffs = [rng.randrange(101) for _ in range(4)]
-        slow = sum(1 for x in range(101)
-                   if UniPoly.of(coeffs).eval(ctx, x) == 0)
-        assert count_roots(coeffs, ctx) == slow
+    for length in range(2, 9):
+        for _ in range(20):
+            coeffs = [rng.randrange(101) for _ in range(length)]
+            slow = sum(1 for x in range(101)
+                       if UniPoly.of(coeffs).eval(ctx, x) == 0)
+            assert count_roots(coeffs, ctx) == slow, coeffs
+
+
+def test_count_roots_exact_at_the_largest_prime():
+    # the prime-field scan reduces mod p once every two Horner steps, which
+    # is exact only while p^3 + p < 2^63 for every admissible p
+    assert Q_LIMIT**3 + Q_LIMIT < 2**63
+    p = 1048573  # the largest prime <= Q_LIMIT
+    assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, Q_LIMIT + 1))
+    ctx = make_field(p, 1)
+    roots = [p - 1, p - 2, p - 3, p - 1, p - 5, p - 8, p - 13, p - 21]
+    f = [1]
+    for deg, r in enumerate(roots, 1):
+        f = _poly_mul(f, [ctx.neg(r), 1], ctx)  # times (x - r)
+        assert count_roots(f, ctx) == len(set(roots[:deg])), deg
 
 
 def test_count_roots_table_path_matches_scalar():
