@@ -286,12 +286,6 @@ class V720Row:
 class V720Report:
     rows: list[V720Row]
 
-    def count_values(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.rows:
-            out[r.count] = out.get(r.count, 0) + 1
-        return out
-
     def witnesses_mod3_eq_1(self) -> dict[int, int]:
         """count value -> one witness prime among p = 1 mod 3."""
         out: dict[int, int] = {}
@@ -425,6 +419,8 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
 
     Polynomials come from the closed forms (the campaign separately proves
     those equal to both enumeration routes), so full grids stay cheap.
+    Pairs come ordered by (q, kind, left, right), an instance ordering by
+    (family's catalog position, params).
     """
     families = list(families) if families else list(FAMILIES)
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
@@ -432,21 +428,24 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
     for q in sorted(q_set):
         p, k = factor_prime_power(q)
         ctx = make_field(p, k)
-        for kind in kinds:
-            groups: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+        for kind in sorted(kinds):
+            members = []
             for family in families:
                 for params in valid_params(family, ctx):
                     z = evaluate(closed_form(family, params, kind, ctx),
                                  params, ctx)
-                    groups.setdefault(z.coeffs, []).append((family, tuple(params)))
-            for coeffs, members in groups.items():
-                if len(members) < 2:
-                    continue
-                members.sort(key=lambda m: (fam_order[m[0]], m[1]))
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        pairs.append(IsoPair(members[i], members[j], kind, q,
-                                             coeffs))
-    pairs.sort(key=lambda pr: (pr.q, pr.kind, fam_order[pr.left[0]],
-                               pr.left[1], fam_order[pr.right[0]], pr.right[1]))
+                    members.append((fam_order[family], tuple(params), family,
+                                    z.coeffs))
+            # members in instance order; each is paired with the later
+            # members of its group, so the pairs come out in order
+            members.sort(key=lambda mb: mb[:2])
+            groups: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+            placed = []
+            for _, params, family, coeffs in members:
+                group = groups.setdefault(coeffs, [])
+                placed.append((group, len(group), coeffs))
+                group.append((family, params))
+            for group, i, coeffs in placed:
+                for right in group[i + 1:]:
+                    pairs.append(IsoPair(group[i], right, kind, q, coeffs))
     return pairs

@@ -188,6 +188,12 @@ def cmd_verify(args) -> int:
     kinds = _parse_kinds(args.kinds)
     for q in q_set:
         _field_for(q)
+    try:  # every row runs the oracle: refuse out-of-range rows before any work
+        for family in families:
+            for q in q_set:
+                check_guard(FAMILIES[family][0], q)
+    except GuardExceeded as exc:
+        raise CliError(str(exc), EXIT_GUARD)
     try:
         threads = args.threads if args.threads else threads_from_env()
     except ValueError as exc:

@@ -20,7 +20,7 @@ q <= Q_LIMIT = 2^20, entries stay below p^3 < 2^63 between reductions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -66,8 +66,6 @@ class FieldCtx:
     k: int
     q: int
     modulus: tuple[int, ...]  # monic, degree k, coefficients low to high
-
-    _tables: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     # -- element codec -------------------------------------------------
 
@@ -151,9 +149,6 @@ class FieldCtx:
             return pow(x, self.p - 2, self.p)
         return self.pow(x, self.q - 2)
 
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(x), -e)
@@ -183,13 +178,19 @@ class FieldCtx:
                 mul[a][b] = mul[b][a] = self._mul_digits(a, b)
         return add, mul, [self._neg_digits(a) for a in range(q)]
 
+    @cached_property
+    def _arrays(self):
+        """(ADD, MUL, NEG) as int16 arrays; None for q > TABLE_LIMIT."""
+        lists = self._lists
+        return None if lists is None else tuple(
+            np.array(t, dtype=np.int16) for t in lists)
+
     def tables(self):
         """(ADD, MUL, NEG) lookup arrays; only available for q <= TABLE_LIMIT."""
-        if "t" not in self._tables:
-            if self._lists is None:
-                raise TooLarge(f"no dense tables for q={self.q} > {TABLE_LIMIT}")
-            self._tables["t"] = tuple(np.array(t, dtype=np.int16) for t in self._lists)
-        return self._tables["t"]
+        arrays = self._arrays
+        if arrays is None:
+            raise TooLarge(f"no dense tables for q={self.q} > {TABLE_LIMIT}")
+        return arrays
 
 
 # -- field construction -----------------------------------------------

@@ -22,11 +22,17 @@ the cell and the kind, so a template recording it is built once per
 each algebra specialises it by walking only its nonzero structure constants,
 then merges the monomials, drops zero ones and orders the conditions.
 
-cell_count scans the cell by prefix expansion: it binds one free entry at a
-time, in row-major order, applies every condition whose highest entry is now
-bound, and expands only the survivors by q, depth-first in batches of at most
-CHUNK rows.  Entries no condition reads are never bound; each multiplies the
-count by q.  Field arithmetic is a flat gather, table.take(a*q + b), on int32
+cell_count scans the cell level by level: it binds one free entry x at a
+time, in row-major order, and rather than giving x all q values it solves
+for x one of the conditions whose highest entry x is.  Such a condition reads
+x with degree at most 2, as A + B x + C x^2 with A, B and C read from the
+entries already bound, so each row gets its solutions at once: x = -A/B, the
+roots of the monic x^2 + (B/C) x + A/C from a table of root counts and roots
+built once per field, or every value where A = B = C = 0.  The level's other
+conditions then filter the rows.  An entry that is the highest entry of no
+condition takes every value; entries no condition reads are never bound, and
+each multiplies the count by q.  Rows go depth-first in batches of at most
+CHUNK.  Field arithmetic is a flat gather, table.take(a*q + b), on int32
 tables built once per field, since a*q + b reaches 65535 at q = 256.
 is_ideal / is_subalgebra do the same test by direct matrix arithmetic for a
 single matrix.  Both paths are cross-checked in the test suite.
@@ -37,6 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -232,6 +239,17 @@ def is_subalgebra(M: RrdfMatrix, L: LieAlgebra) -> bool:
 # constant feeds which monomial of which condition depends only on the cell
 # and the kind: _template records it once per (cell, kind), and _conditions
 # specialises it to one algebra by walking its nonzero structure constants.
+#
+# A condition has degree at most 2 in any one variable: variable (r, c) sits
+# only in row r of M and in column c of M#, and a condition multiplies one
+# entry of row i, one of a row j != i (or of the constant e_j) and one of
+# column k.  So each level can bind its variable by solving one condition.
+
+# How a level binds its variable x; A, B and C read only earlier variables.
+FREE = 0       # no condition: x takes every value
+DIRECT = 1     # x = A, the solved condition with a constant x coefficient
+LINEAR = 2     # B x + A = 0
+QUADRATIC = 3  # C x^2 + B x + A = 0, with A and B stored negated
 
 
 @lru_cache(maxsize=None)  # keyed by shape only: at most 2 * 2^n entries per n
@@ -269,47 +287,88 @@ def _template(dt: DiagonalType, kind: str):
     return len(pos), tuple(tuple(f) for f in feeds)
 
 
+@lru_cache(maxsize=1)  # the cells of one algebra are counted in a row
+def _nonzero(L: LieAlgebra):
+    """(slot, c, -c) for each nonzero structure constant c = sc[u][j][v] of
+    L, at the flat slot (u*n + j)*n + v of the template's feeds."""
+    neg = L.ctx.neg
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(L.sc))
+    return tuple((slot, c, neg(c)) for slot, c in enumerate(flat) if c)
+
+
 def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
-    """(m, levels): the cell's template specialised to L.  levels[i] holds
-    the conditions whose highest variable is the i-th variable any condition
-    reads, in row-major order, cheapest first; each condition is a list of
-    (coeff, level indices) monomials with nonzero coefficients.  levels is
-    None when a nonzero constant condition kills the whole cell."""
-    add, neg = L.ctx.add, L.ctx.neg
+    """(m, levels): the cell's template specialised to L, as a scan plan.
+
+    Each condition is a list of (coeff, sorted variables) monomials with
+    nonzero coefficients, and belongs to the level of its highest variable.
+    levels holds one (var, how, A, B, C, filters) per variable any condition
+    reads, in row-major order.  At a level with conditions, the one of least
+    degree in var is solved for it: one whose x coefficient is a nonzero
+    constant first, then the one with fewest monomials.  A, B and C are the
+    monomial lists of its parts of degree 0, 1 and 2 in var, which read only
+    earlier variables; how says how they are stored (see FREE..QUADRATIC).
+    filters are the level's other conditions, low degree, then short, first.
+    levels is None when a nonzero constant condition kills the whole cell.
+    """
+    ctx = L.ctx
+    add, neg, mul = ctx.add, ctx.neg, ctx.mul
     m, feeds = _template(dt, kind)
     polys: dict[int, dict[tuple[int, ...], int]] = {}
-    slot = -1
-    for plane in L.sc:
-        for line in plane:
-            for c in line:
-                slot += 1
-                if not c:
-                    continue
-                minus_c = neg(c)
-                for ci, minus, key in feeds[slot]:
-                    poly = polys.get(ci)
-                    if poly is None:
-                        poly = polys[ci] = {}
-                    poly[key] = add(poly.get(key, 0), minus_c if minus else c)
-    conditions = []
+    for slot, c, minus_c in _nonzero(L):
+        for ci, minus, key in feeds[slot]:
+            v = minus_c if minus else c
+            poly = polys.get(ci)
+            if poly is None:
+                polys[ci] = {key: v}
+            else:
+                old = poly.get(key)
+                poly[key] = v if old is None else add(old, v)
+    by_top: dict[int, list] = {}
     used: set[int] = set()
-    for ci in sorted(polys):
-        monos = [(c, key) for key, c in polys[ci].items() if c]
-        if not monos:
+    for poly in polys.values():
+        monos = [(c, key) for key, c in poly.items() if c]
+        if len(monos) == 1:  # the common case, kept apart for speed
+            key = monos[0][1]
+            if not key:  # a nonzero constant: no matrix of the cell solves it
+                return m, None
+            used.update(key)
+            by_top.setdefault(key[-1], []).append((len(key), 1, monos))
+        elif monos:
+            keys = [key for _, key in monos]
+            used.update(*keys)
+            by_top.setdefault(max([key[-1] for key in keys if key]), []).append(
+                (max(map(len, keys)), len(monos), monos))
+    levels = []
+    for var in sorted(used):
+        conds = by_top.get(var)
+        if conds is None:
+            levels.append((var, FREE, None, None, None, ()))
             continue
-        keys = [key for _, key in monos]
-        degree = max(map(len, keys))
-        if not degree:  # a nonzero constant: no matrix of the cell solves it
-            return m, None
-        conditions.append((degree, len(monos), max(k[-1] for k in keys if k), monos))
-        used.update(t for k in keys for t in k)
-    # low-degree, then short, conditions first: they prune the cell fastest
-    conditions.sort(key=lambda cond: cond[:2])
-    level = {t: i for i, t in enumerate(sorted(used))}
-    levels: list[list] = [[] for _ in level]
-    for _, _, top, monos in conditions:
-        levels[level[top]].append(
-            [(c, tuple(level[t] for t in key)) for c, key in monos])
+        conds.sort(key=itemgetter(0, 1))  # degree, then monomials
+        best = None
+        for cond in conds:
+            a, b, c = [], [], []
+            for coeff, key in cond[2]:
+                if not key or key[-1] != var:
+                    a.append((coeff, key))
+                elif len(key) > 1 and key[-2] == var:
+                    c.append((coeff, key[:-2]))
+                else:
+                    b.append((coeff, key[:-1]))
+            rank = (bool(c), not (len(b) == 1 and not b[0][1]), cond[1])
+            if best is None or rank < best[0]:
+                best = (rank, cond, a, b, c)
+        _, chosen, a, b, c = best
+        filters = [cond[2] for cond in conds if cond is not chosen]
+        if c:
+            levels.append((var, QUADRATIC, [(neg(k), key) for k, key in a],
+                           [(neg(k), key) for k, key in b], c, filters))
+        elif len(b) > 1 or b[0][1]:
+            levels.append((var, LINEAR, a, b, None, filters))
+        else:
+            s = neg(ctx.inv(b[0][0]))
+            levels.append((var, DIRECT, [(mul(s, k), key) for k, key in a],
+                           None, None, filters))
     return m, levels
 
 
@@ -322,6 +381,36 @@ def _gathers(ctx: FieldCtx):
     mul_rows = mul_t.astype(np.int32)
     out = (add_rows, mul_rows, add_rows.ravel(), mul_rows.ravel(),
            np.arange(ctx.q, dtype=np.int16))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def _roots(ctx: FieldCtx):
+    """(neginv, count, r1, r2) of one field, built once per field.
+
+    neginv[a] = -1/a (0 at a = 0).  At index b*q + c, count is the number of
+    roots of the monic x^2 + b x + c in F_q and r1 <= r2 are those roots
+    (r1 = r2 for a double root; both 0 when there is none).  Every x is the
+    root of exactly one monic quadratic per b, the one with c = -(x^2 + b x),
+    so one pass over (b, x) fills the tables in every characteristic.
+    """
+    add_t, mul_t, neg_t = ctx.tables()
+    q = ctx.q
+    x = np.arange(q)
+    inv = np.argmax(mul_t == 1, axis=1)  # row 0 has no 1: argmax gives 0
+    neginv = neg_t[inv].astype(np.int32)
+    # at[b, x]: the index b*q + c of the quadratic x is a root of
+    at = (x[:, None] * q + neg_t[add_t[mul_t[x, x][None, :], mul_t]]).ravel()
+    count = np.bincount(at, minlength=q * q).astype(np.int8)
+    xs = np.tile(x, q)
+    r1 = np.full(q * q, q)
+    r2 = np.zeros(q * q, dtype=np.int64)
+    np.minimum.at(r1, at, xs)
+    np.maximum.at(r2, at, xs)
+    r1[count == 0] = 0
+    out = (neginv, count, r1.astype(np.int16), r2.astype(np.int16))
     for a in out:
         a.flags.writeable = False
     return out
@@ -348,44 +437,122 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         return 0
     if not levels:  # no condition reads a free entry
         return q**m
-    # bind only the variables some condition reads, in row-major order; each
-    # condition runs right after its highest variable is bound
+    # bind only the variables some condition reads, in row-major order
     add_rows, mul_rows, add_f, mul_f, digits = _gathers(L.ctx)
-    step = max(1, CHUNK // q)  # survivor rows expanded per batch
+    neginv, n_roots, root1, root2 = _roots(L.ctx)
+    end = len(levels)
+    # bound[depth]: the variables bound once level depth is
+    bound = [[lv[0] for lv in levels[:depth + 1]] for depth in range(end)]
+    step = max(1, CHUNK // q)  # rows that take every value, per batch
 
-    def scan(cols, depth):
-        # cols: the int16 columns of variables 0..depth; count the rows that
-        # pass every condition, expanding survivors depth-first in batches
-        for monos in levels[depth]:
-            acc = None
-            const = 0
-            for c, vars_ in monos:
-                if not vars_:
-                    const = c
-                    continue
-                term = mul_rows[c].take(cols[vars_[0]])
-                for t in vars_[1:]:
-                    term = mul_f.take(term * q + cols[t])
-                acc = term if acc is None else add_f.take(acc * q + term)
-            if const:
-                acc = add_rows[const].take(acc)
-            keep = np.flatnonzero(acc == 0)
-            if len(keep) < len(acc):
-                cols = [col.take(keep) for col in cols]
-                if not len(keep):
+    def value(monos, cols, rows):
+        # the int32 values of a monomial list on the rows
+        acc = None
+        const = 0
+        for c, vars_ in monos:
+            if not vars_:
+                const = c
+                continue
+            term = mul_rows[c].take(cols[vars_[0]])
+            for t in vars_[1:]:
+                term = mul_f.take(term * q + cols[t])
+            acc = term if acc is None else add_f.take(acc * q + term)
+        if acc is None:
+            return np.full(rows, const, dtype=np.int32)
+        return add_rows[const].take(acc) if const else acc
+
+    def keep(cols, depth, picked):
+        # the rows at picked of the variables bound before level depth
+        cols = cols.copy()
+        for t in bound[depth][:-1]:
+            cols[t] = cols[t].take(picked)
+        return cols
+
+    def test(cols, rows, depth):
+        # apply level depth's filters, then bind the levels after it
+        for monos in levels[depth][5]:
+            passed = (value(monos, cols, rows) == 0).nonzero()[0]
+            if len(passed) < rows:
+                if not len(passed):
                     return 0
-        rows = len(cols[0])
-        if depth + 1 == len(levels):
-            return rows
+                rows = len(passed)
+                cols = cols.copy()
+                for t in bound[depth]:
+                    cols[t] = cols[t].take(passed)
+        return scan(cols, rows, depth + 1)
+
+    def every(cols, rows, depth):
+        # give level depth's variable every value on each row, in batches
+        var = levels[depth][0]
         total = 0
         for start in range(0, rows, step):
-            part = [col[start:start + step] for col in cols]
-            child = [np.repeat(col, q) for col in part]
-            child.append(np.tile(digits, len(part[0])))
-            total += scan(child, depth + 1)
+            child = cols.copy()
+            for t in bound[depth][:-1]:
+                child[t] = np.repeat(cols[t][start:start + step], q)
+            part = min(step, rows - start)
+            child[var] = np.tile(digits, part)
+            total += test(child, part * q, depth)
         return total
 
-    return scan([digits], 0) * q ** (m - len(levels))
+    def scan(cols, rows, depth):
+        # cols[t]: the int16 column of variable t, for every variable bound
+        # before level depth; count the extensions passing every condition
+        if depth == end:
+            return rows
+        var, how, A, B, C, _ = levels[depth]
+        if how == FREE:
+            return every(cols, rows, depth)
+        a = value(A, cols, rows)
+        if how == DIRECT:
+            cols = cols.copy()
+            cols[var] = a.astype(np.int16)
+            return test(cols, rows, depth)
+        b = value(B, cols, rows)
+        picks = []  # (rows, their value of var)
+        lin = None  # rows solved as B x + A = 0; None means all
+        if how == QUADRATIC:
+            c = value(C, cols, rows)
+            scale = neginv.take(c)
+            at = mul_f.take(b * q + scale) * q + mul_f.take(a * q + scale)
+            count = n_roots.take(at)
+            lin = (c == 0).nonzero()[0]
+            if len(lin):
+                count[lin] = 0
+                a = a.take(lin)
+                b = b.take(lin)
+            one = count.nonzero()[0]
+            two = (count == 2).nonzero()[0]
+            picks += [(one, root1.take(at.take(one))),
+                      (two, root2.take(at.take(two)))]
+        total = 0
+        if lin is None or len(lin):
+            # B x + A = 0: one root where B != 0, every x where A = B = 0
+            nz = b.nonzero()[0]
+            x = mul_f.take(a.take(nz) * q + neginv.take(b.take(nz)))
+            picks.append((nz if lin is None else lin.take(nz), x))
+            if len(nz) < len(b):
+                free = ((a | b) == 0).nonzero()[0]
+                if len(free):
+                    if lin is not None:
+                        free = lin.take(free)
+                    total += every(keep(cols, depth, free), len(free), depth)
+        picks = [p for p in picks if len(p[0])]
+        if not picks:
+            return total
+        if len(picks) == 1 and len(picks[0][0]) == rows:  # one root per row
+            cols = cols.copy()
+            cols[var] = picks[0][1].astype(np.int16)
+            return total + test(cols, rows, depth)
+        src = np.concatenate([p[0] for p in picks])
+        x = np.concatenate([p[1] for p in picks]).astype(np.int16)
+        for start in range(0, len(src), CHUNK):
+            part = src[start:start + CHUNK]
+            child = keep(cols, depth, part)
+            child[var] = x[start:start + CHUNK]
+            total += test(child, len(part), depth)
+        return total
+
+    return scan([None] * m, 1, 0) * q ** (m - end)
 
 
 @lru_cache(maxsize=32)

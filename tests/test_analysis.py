@@ -181,3 +181,13 @@ def test_isospectral_pairs_are_normalized():
         assert p.left != p.right
         assert (fam_order[p.left[0]], p.left[1]) < \
             (fam_order[p.right[0]], p.right[1])
+
+
+def test_isospectral_pairs_come_out_sorted():
+    # pairs are emitted in (q, kind, left, right) order, with no final sort
+    fam_order = {f: i for i, f in enumerate(FAMILIES)}
+    pairs = an.isospectral_scan((3, 4, 5), kinds=("subalgebra", "ideal"))
+    assert {p.kind for p in pairs} == {"subalgebra", "ideal"}
+    assert pairs == sorted(pairs, key=lambda pr: (
+        pr.q, pr.kind, fam_order[pr.left[0]], pr.left[1],
+        fam_order[pr.right[0]], pr.right[1]))

@@ -120,6 +120,18 @@ def test_verify_bad_threads_env_exit_2(monkeypatch, capsys):
     assert err.count("\n") == 1 and "FQZETA_THREADS" in err
 
 
+@pytest.mark.parametrize("q_set", ["13,17", "17"])
+def test_verify_refuses_out_of_range_q_up_front(q_set, capsys):
+    # q = 17 is past the oracle guard: the whole request is refused with exit
+    # 3 before any row runs, including the in-range q = 13 rows
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--q-set", q_set,
+                         "--families", "M7", "--threads", "1")
+    assert code == EXIT_GUARD
+    assert "oracle guard" in err and "total:" not in out
+    assert time.perf_counter() - t0 < 5
+
+
 def test_verify_out_records_route_seconds(tmp_path, capsys):
     out_path = tmp_path / "report.jsonl"
     code, _, _ = run(capsys, "verify", "--families", "L3,M8", "--q-set", "3",

@@ -1,6 +1,13 @@
+import random
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_basis_invariance import _rank, conjugate
 
 from fqzeta import rrdf
+from fqzeta.analysis import factor_prime_power
 from fqzeta.formulas import (VarietyId, closed_form, evaluate,
                              gaussian_binomial, variety_count)
 from fqzeta.gf import make_field
@@ -225,11 +232,15 @@ def test_vector_path_chunks_large_cells():
 
 def test_batched_expansion_matches_scalar(monkeypatch):
     # a tiny CHUNK expands two survivor rows per batch, so non-abelian cells
-    # run through many batches at every depth
+    # run through many batches at every depth; in the subalgebra cell
+    # ((0,1,1),(1,1,0)) of M4 and M5, x_0 x_2^2 + ... = 0 is solved for x_2
+    # with x_0 = 0 on some rows, and over F_4 M4's solutions there span two
+    # batches
     monkeypatch.setattr(rrdf, "CHUNK", 8)
     batched = 0
     for fam, params, (p, k) in [("L3", (1,), (3, 1)), ("M7", (1, 1), (3, 1)),
-                                ("M12", (), (3, 1)), ("M8", (), (2, 2))]:
+                                ("M12", (), (3, 1)), ("M8", (), (2, 2)),
+                                ("M4", (), (2, 2)), ("M5", (), (3, 1))]:
         ctx = make_field(p, k)
         L = catalog(fam, params, ctx)
         for t in diagonal_types(L.n):
@@ -238,6 +249,81 @@ def test_batched_expansion_matches_scalar(monkeypatch):
                 assert cell_count(L, t, kind) == cell_count_scalar(L, t, kind), \
                     (fam, params, ctx.q, t, kind)
     assert batched
+
+
+def _brute_roots(ctx, b, c):
+    # every x in F_q with x^2 + b x + c = 0, ascending
+    add, mul, _ = ctx.tables()
+    x = np.arange(ctx.q)
+    return np.flatnonzero(add[add[mul[x, x], mul[b, x]], c] == 0).tolist()
+
+
+def _check_root_table(ctx, pairs):
+    neginv, count, r1, r2 = rrdf._roots(ctx)
+    q = ctx.q
+    minus_one = ctx.neg(1)
+    assert neginv[0] == 0
+    assert all(ctx.mul(a, int(neginv[a])) == minus_one for a in range(1, q))
+    for b, c in pairs:
+        roots = _brute_roots(ctx, b, c)
+        at = b * q + c
+        assert count[at] == len(roots), (q, b, c)
+        if roots:  # r1 <= r2, equal for a double root
+            assert (r1[at], r2[at]) == (roots[0], roots[-1]), (q, b, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_root_table_matches_brute_force(q):
+    ctx = make_field(*factor_prime_power(q))
+    _check_root_table(ctx, [(b, c) for b in range(q) for c in range(q)])
+
+
+@pytest.mark.parametrize("p,k", [(251, 1), (2, 8)])
+def test_root_table_wide_fields_sampled(p, k):
+    ctx = make_field(p, k)
+    rng = random.Random(20261018)
+    q = ctx.q
+    _check_root_table(ctx, [(rng.randrange(q), rng.randrange(q))
+                            for _ in range(2000)])
+
+
+@st.composite
+def dense_conjugates(draw):
+    # a catalog algebra written in a random basis over F_4, F_8 or F_9: its
+    # structure constants are dense, unlike the catalog's; n <= 3 over F_8
+    # and F_9 keeps the scalar reference fast
+    q = draw(st.sampled_from((4, 8, 9)))
+    ctx = make_field(*factor_prime_power(q))
+    families = [f for f, (n, _) in FAMILIES.items()
+                if n <= (4 if q == 4 else 3) and valid_params(f, ctx)]
+    family = draw(st.sampled_from(families))
+    params = draw(st.sampled_from(valid_params(family, ctx)))
+    n = FAMILIES[family][0]
+    entry = st.integers(0, q - 1)
+    g = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(_rank(g, ctx) == n)
+    return conjugate(catalog(family, params, ctx), g)
+
+
+def test_dense_conjugates_match_scalar():
+    # the solved scan against the scalar reference, on every cell; the
+    # inputs must reach every way a level can bind its variable
+    seen = set()
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dense_conjugates())
+    def check(L):
+        for t in diagonal_types(L.n):
+            for kind in ("ideal", "subalgebra"):
+                _, levels = rrdf._conditions(L, t, kind)
+                seen.update(level[1] for level in levels or ())
+                assert cell_count(L, t, kind) == cell_count_scalar(L, t, kind), \
+                    (L.name, L.sc, L.ctx.q, t, kind)
+
+    check()
+    assert seen == {rrdf.FREE, rrdf.DIRECT, rrdf.LINEAR, rrdf.QUADRATIC}
 
 
 @pytest.mark.parametrize("p,k", [(251, 1), (2, 8)])
