@@ -112,14 +112,9 @@ class VerifyReport:
         return not self.failures()
 
 
-def _excluded(family: str, p: int) -> bool:
-    return family == "M12" and p == 2
-
-
 def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
     family, params, q, kind = item
-    p, k = factor_prime_power(q)
-    ctx = make_field(p, k)
+    ctx = make_field(*factor_prime_power(q))
     clock = time.perf_counter
     t0 = clock()
     L = catalog(family, params, ctx)
@@ -132,7 +127,7 @@ def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
     zo = zeta_oracle(L, kind)
     t4 = clock()
     equal = ze.coeffs == zo.coeffs == zf.coeffs
-    if _excluded(family, p):
+    if L.warnings:  # M12 in characteristic 2: the formulas do not apply
         status = "ANOMALY"
     else:
         status = "PASS" if equal else "FAIL"

@@ -21,8 +21,7 @@ from .analysis import factor_prime_power, threads_from_env
 from .formulas import TABLE_VERSION, UnknownBranch, closed_form, evaluate
 from .gf import DegreeZero, NotPrime, TooLarge, make_field
 from .liealg import (FAMILIES, BadArity, BadCatalogId, M9ParamReducible,
-                     catalog, describe_instance, is_nilpotent,
-                     parse_algebra_spec)
+                     catalog, describe_instance, parse_algebra_spec)
 from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
 from .zetapoly import ZetaPoly
@@ -161,8 +160,7 @@ def cmd_zeta(args) -> int:
             print(f"{L.describe()} over F_{args.q}, {kind}, {method}:")
             print(f"  coeffs  {list(z.coeffs)}")
             print(f"  zeta    {z.display()}")
-            if method == "formula":
-                sz = closed_form(family, params, kind, ctx)
+            if method == "formula":  # sz is the closed form built above
                 print(f"  branch  [{sz.guard}]  {sz.display()}")
     _emit(records, args.out, to_stdout=args.json)
 

@@ -124,23 +124,8 @@ class FieldCtx:
         return self.undigits([(-a) % p for a in self.digits(x)])
 
     def _mul_digits(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        p, k = self.p, self.k
-        xd, yd = self.digits(x), self.digits(y)
-        prod = [0] * (2 * k - 1)
-        for i, xi in enumerate(xd):
-            if xi:
-                for j, yj in enumerate(yd):
-                    prod[i + j] = (prod[i + j] + xi * yj) % p
-        # reduce against the monic modulus, top coefficient down
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(k):
-                    prod[d - k + i] = (prod[d - k + i] - c * self.modulus[i]) % p
-        return self.undigits(prod[:k])
+        return self.undigits(_poly_mulmod_fp(self.digits(x), self.digits(y),
+                                             self.modulus, self.p))
 
     def inv(self, x: int) -> int:
         if x == 0:

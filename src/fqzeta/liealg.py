@@ -7,6 +7,13 @@ algebra.  The catalog covers every solvable family of dimension <= 4 used by
 the closed-form zeta tables: the abelian algebras, the two 2-dimensional
 algebras, the L-families in dimension 3 and the M-families in dimension 4.
 
+The catalog is one table, CATALOG: family -> (dimension, arity, brackets),
+where each structure constant of a presentation is an affine form
+c0 + ca*a + cb*b with integer c0, ca, cb in the parameters a, b.  catalog()
+evaluates the forms inside the target field, so the constants are reduced
+there (M12's 2 vanishes in characteristic 2, and the instance is flagged).
+FAMILIES, family -> (dimension, arity), is derived from it.
+
 Catalog parameters are field elements of the target context (encodings
 0..q-1), not integers.  Use FieldCtx.embed to reduce integer literals.
 """
@@ -42,7 +49,7 @@ class BadCatalogId(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class LieAlgebra:
     ctx: FieldCtx
     n: int
@@ -121,84 +128,46 @@ def from_structure_constants(ctx: FieldCtx, n: int, sc, name: str = "",
 
 # -- catalog ------------------------------------------------------------
 #
-# Bracket maps use the 1-based generator indices of the presentations;
-# "all other unlisted commutators are trivial" up to antisymmetry.
-# Parameter coefficients are computed inside the target field.
+# CATALOG maps each family to (dimension, arity, brackets).  brackets is
+# {(i, j): {k: (c0, ca, cb)}}: [e_i, e_j] has e_k-coefficient c0 + ca*a + cb*b,
+# with the presentations' 1-based generator indices; "all other unlisted
+# commutators are trivial" up to antisymmetry.  The integers c0, ca, cb are
+# reduced into the target field, so M12's constant 2 vanishes in
+# characteristic 2.
 
-FAMILIES: dict[str, tuple[int, int]] = {
-    # family -> (dimension, arity)
-    "L11": (1, 0),
-    "L21": (2, 0),
-    "L22": (2, 0),
-    "L1": (3, 0),
-    "L2": (3, 0),
-    "L3": (3, 1),
-    "L4": (3, 1),
-    "M1": (4, 0),
-    "M2": (4, 0),
-    "M3": (4, 1),
-    "M4": (4, 0),
-    "M5": (4, 0),
-    "M6": (4, 2),
-    "M7": (4, 2),
-    "M8": (4, 0),
-    "M9": (4, 1),
-    "M12": (4, 0),
-    "M13": (4, 1),
-    "M14": (4, 1),
+_ONE, _A, _B, _NEG_A = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0)
+
+CATALOG: dict[str, tuple[int, int, dict]] = {
+    "L11": (1, 0, {}),
+    "L21": (2, 0, {}),
+    "L22": (2, 0, {(1, 2): {2: _ONE}}),
+    "L1": (3, 0, {}),
+    "L2": (3, 0, {(3, 1): {1: _ONE}, (3, 2): {2: _ONE}}),
+    "L3": (3, 1, {(3, 1): {2: _ONE}, (3, 2): {1: _A, 2: _ONE}}),
+    "L4": (3, 1, {(3, 1): {2: _ONE}, (3, 2): {1: _A}}),
+    "M1": (4, 0, {}),
+    "M2": (4, 0, {(4, 1): {1: _ONE}, (4, 2): {2: _ONE}, (4, 3): {3: _ONE}}),
+    "M3": (4, 1, {(4, 1): {1: _ONE}, (4, 2): {3: _ONE},
+                  (4, 3): {2: _NEG_A, 3: (1, 1, 0)}}),
+    "M4": (4, 0, {(4, 2): {3: _ONE}, (4, 3): {3: _ONE}}),
+    "M5": (4, 0, {(4, 2): {3: _ONE}}),
+    "M6": (4, 2, {(4, 1): {2: _ONE}, (4, 2): {3: _ONE},
+                  (4, 3): {1: _NEG_A, 2: _B, 3: _ONE}}),
+    "M7": (4, 2, {(4, 1): {2: _ONE}, (4, 2): {3: _ONE},
+                  (4, 3): {1: _NEG_A, 2: _B}}),
+    "M8": (4, 0, {(1, 2): {2: _ONE}, (3, 4): {4: _ONE}}),
+    "M9": (4, 1, {(4, 1): {1: _ONE, 2: _A}, (4, 2): {1: _ONE},
+                  (3, 1): {1: _ONE}, (3, 2): {2: _ONE}}),
+    "M12": (4, 0, {(4, 1): {1: _ONE}, (4, 2): {2: (2, 0, 0)},
+                   (4, 3): {3: _ONE}, (3, 1): {2: _ONE}}),
+    "M13": (4, 1, {(4, 1): {1: _ONE, 3: _A}, (4, 2): {2: _ONE},
+                   (4, 3): {1: _ONE}, (3, 1): {2: _ONE}}),
+    "M14": (4, 1, {(4, 1): {3: _A}, (4, 3): {1: _ONE}, (3, 1): {2: _ONE}}),
 }
 
-
-def _brackets(family: str, ctx: FieldCtx, params: tuple[int, ...]):
-    one = 1
-    if family in ("L11", "L21", "L1", "M1"):
-        return {}
-    if family == "L22":
-        return {(1, 2): {2: one}}
-    if family == "L2":
-        return {(3, 1): {1: one}, (3, 2): {2: one}}
-    if family == "L3":
-        a = params[0]
-        return {(3, 1): {2: one}, (3, 2): {1: a, 2: one}}
-    if family == "L4":
-        a = params[0]
-        return {(3, 1): {2: one}, (3, 2): {1: a}}
-    if family == "M2":
-        return {(4, 1): {1: one}, (4, 2): {2: one}, (4, 3): {3: one}}
-    if family == "M3":
-        a = params[0]
-        return {(4, 1): {1: one}, (4, 2): {3: one},
-                (4, 3): {2: ctx.neg(a), 3: ctx.add(a, one)}}
-    if family == "M4":
-        return {(4, 2): {3: one}, (4, 3): {3: one}}
-    if family == "M5":
-        return {(4, 2): {3: one}}
-    if family == "M6":
-        a, b = params
-        return {(4, 1): {2: one}, (4, 2): {3: one},
-                (4, 3): {1: ctx.neg(a), 2: b, 3: one}}
-    if family == "M7":
-        a, b = params
-        return {(4, 1): {2: one}, (4, 2): {3: one},
-                (4, 3): {1: ctx.neg(a), 2: b}}
-    if family == "M8":
-        return {(1, 2): {2: one}, (3, 4): {4: one}}
-    if family == "M9":
-        a = params[0]
-        return {(4, 1): {1: one, 2: a}, (4, 2): {1: one},
-                (3, 1): {1: one}, (3, 2): {2: one}}
-    if family == "M12":
-        two = ctx.embed(2)
-        return {(4, 1): {1: one}, (4, 2): {2: two}, (4, 3): {3: one},
-                (3, 1): {2: one}}
-    if family == "M13":
-        a = params[0]
-        return {(4, 1): {1: one, 3: a}, (4, 2): {2: one}, (4, 3): {1: one},
-                (3, 1): {2: one}}
-    if family == "M14":
-        a = params[0]
-        return {(4, 1): {3: a}, (4, 3): {1: one}, (3, 1): {2: one}}
-    raise BadCatalogId(family)
+# family -> (dimension, arity), in catalog order
+FAMILIES: dict[str, tuple[int, int]] = {
+    family: (n, arity) for family, (n, arity, _) in CATALOG.items()}
 
 
 def m9_param_ok(a: int, ctx: FieldCtx) -> bool:
@@ -208,9 +177,9 @@ def m9_param_ok(a: int, ctx: FieldCtx) -> bool:
 
 def catalog(family: str, params, ctx: FieldCtx) -> LieAlgebra:
     """Construct a catalog algebra with exactly the recorded catalog brackets."""
-    if family not in FAMILIES:
+    if family not in CATALOG:
         raise BadCatalogId(f"unknown family {family!r}")
-    n, arity = FAMILIES[family]
+    n, arity, brackets = CATALOG[family]
     params = tuple(int(v) for v in params)
     if len(params) != arity:
         raise BadArity(f"{family} takes {arity} parameter(s), got {len(params)}")
@@ -221,15 +190,19 @@ def catalog(family: str, params, ctx: FieldCtx) -> LieAlgebra:
         raise M9ParamReducible(
             f"x^2 - x - {params[0]} has a root in F_{ctx.q}; "
             "M9 requires it to be irreducible")
-    warnings = ()
-    if family == "M12" and ctx.p == 2:
-        # the bracket constant 2 vanishes; the recorded formulas assume char != 2
-        warnings = ("char2-degenerate-constant",)
+    a, b = (*params, 0, 0)[:2]
     sc = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), comps in _brackets(family, ctx, params).items():
-        for k, c in comps.items():
+    degenerate = False
+    for (i, j), comps in brackets.items():
+        for k, form in comps.items():
+            c0, ca, cb = map(ctx.embed, form)
+            degenerate = degenerate or not (c0 or ca or cb)
+            c = ctx.add(c0, ctx.add(ctx.mul(ca, a), ctx.mul(cb, b)))
             sc[i - 1][j - 1][k - 1] = c
             sc[j - 1][i - 1][k - 1] = ctx.neg(c)
+    # a nonzero presentation constant vanished in the field: M12's 2 in
+    # characteristic 2, where the recorded formulas do not apply
+    warnings = ("char2-degenerate-constant",) if degenerate else ()
     return from_structure_constants(ctx, n, sc, name=family, params=params,
                                     warnings=warnings)
 

@@ -185,6 +185,36 @@ def test_m12_char2_flagged():
     assert catalog("M12", (), make_field(3, 1)).warnings == ()
 
 
+def test_catalog_brackets_match_presentations():
+    # campaign and iso-pair order follow the catalog order
+    assert list(FAMILIES.items()) == [
+        ("L11", (1, 0)), ("L21", (2, 0)), ("L22", (2, 0)), ("L1", (3, 0)),
+        ("L2", (3, 0)), ("L3", (3, 1)), ("L4", (3, 1)), ("M1", (4, 0)),
+        ("M2", (4, 0)), ("M3", (4, 1)), ("M4", (4, 0)), ("M5", (4, 0)),
+        ("M6", (4, 2)), ("M7", (4, 2)), ("M8", (4, 0)), ("M9", (4, 1)),
+        ("M12", (4, 0)), ("M13", (4, 1)), ("M14", (4, 1))]
+    for ctx, a, b in [(make_field(2, 2), 2, 3), (make_field(5, 1), 2, 3)]:
+        neg, add = ctx.neg, ctx.add
+
+        def br(family, params, i, j):
+            L = catalog(family, params, ctx)
+            return L.bracket(L.basis()[i - 1], L.basis()[j - 1])
+
+        assert br("L3", (a,), 3, 2) == [a, 1, 0]
+        assert br("L4", (a,), 3, 2) == [a, 0, 0]
+        assert br("M3", (a,), 4, 3) == [0, neg(a), add(a, 1), 0]
+        assert br("M6", (a, b), 4, 3) == [neg(a), b, 1, 0]
+        assert br("M6", (a, b), 3, 4) == [a, neg(b), neg(1), 0]
+        assert br("M7", (a, b), 4, 3) == [neg(a), b, 0, 0]
+        m9 = valid_params("M9", ctx)[-1][0]
+        assert br("M9", (m9,), 4, 1) == [1, m9, 0, 0]
+        assert br("M13", (a,), 4, 1) == [1, 0, a, 0]
+        assert br("M14", (a,), 4, 1) == [0, 0, a, 0]
+        # [e4, e2] = 2 e2, which vanishes in characteristic 2
+        assert br("M12", (), 4, 2) == ([0, 0, 0, 0] if ctx.p == 2
+                                       else [0, 2, 0, 0])
+
+
 def test_m14_sweep_excludes_zero():
     ctx = make_field(5, 1)
     assert (0,) not in valid_params("M14", ctx)
