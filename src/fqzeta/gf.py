@@ -12,9 +12,14 @@ irreducible polynomial of the right degree (coefficients compared low to
 high), which makes the encoding reproducible without external tables.
 
 count_roots scans the whole field.  On a prime field it evaluates the
-polynomial at every element at once, by Horner's rule on one int64 numpy
-vector updated in place, reducing mod p only once every two steps; since
-q <= Q_LIMIT = 2^20, entries stay below p^3 < 2^63 between reductions.
+polynomial in blocks of BLOCK consecutive elements, by Horner's rule on int64
+numpy vectors updated in place, reducing mod p only once every two steps; since
+p <= Q_LIMIT = 2^20, entries stay below p^3 < 2^63 between reductions.  A
+reduction is v - p * (v // p), exact for v >= 0, because numpy's floor
+division by a scalar is several times faster than its remainder.  Each block's
+arrays are 64 KiB: they stay in cache, and they sit below malloc's mmap
+threshold, so a scan reuses heap memory instead of mapping (and faulting in)
+fresh pages on every call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import numpy as np
 Q_LIMIT = 1 << 20
 # Largest q for which dense add/mul lookup tables are built on demand.
 TABLE_LIMIT = 256
+# Field elements per block of the prime-field root scan: 64 KiB int64 arrays.
+BLOCK = 1 << 13
 
 
 class NotPrime(ValueError):
@@ -92,7 +99,8 @@ class FieldCtx:
     # -- arithmetic ----------------------------------------------------
     #
     # Extension fields with q <= TABLE_LIMIT read the tables of _lists; the
-    # digit routines build those tables and serve larger extension fields.
+    # digit routines serve larger extension fields and are the reference the
+    # tables are tested against.
 
     def add(self, x: int, y: int) -> int:
         if self.k == 1:
@@ -150,18 +158,38 @@ class FieldCtx:
 
     @cached_property
     def _lists(self):
-        """(ADD, MUL, NEG) as nested lists, built once from the digit
-        routines; None for q > TABLE_LIMIT."""
-        q = self.q
+        """(ADD, MUL, NEG) as nested lists, built once; None for
+        q > TABLE_LIMIT.  MUL is read off the log/antilog tables of a
+        generator of F_q^* (q - 1 digit products); ADD and NEG come from one
+        numpy sum over the q x k matrix of base-p digits."""
+        q, p = self.q, self.p
         if q > TABLE_LIMIT:
             return None
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                add[a][b] = add[b][a] = self._add_digits(a, b)
-                mul[a][b] = mul[b][a] = self._mul_digits(a, b)
-        return add, mul, [self._neg_digits(a) for a in range(q)]
+        place = [p**i for i in range(self.k)]
+        digits = np.array([self.digits(a) for a in range(q)])  # row a: digits of a
+        add = ((digits[:, None, :] + digits[None, :, :]) % p * place).sum(axis=2)
+        neg = ((p - digits) % p * place).sum(axis=1)
+        power = self._generator_powers()  # power[i] = g^i
+        log = [0] * q  # log[g^i] = i; log[0] is unused
+        for i, x in enumerate(power):
+            log[x] = i
+        log = np.array(log[1:])  # the logs of 1, ..., q - 1
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = np.take(power, (log[:, None] + log[None, :]) % (q - 1))
+        return add.tolist(), mul.tolist(), neg.tolist()
+
+    def _generator_powers(self) -> list[int]:
+        """[g^0, ..., g^(q-2)] for the least generator g of F_q^*, by the
+        digit routines."""
+        for g in range(1, self.q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_digits(x, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise AssertionError("F_q^* is cyclic")  # unreachable
 
     @cached_property
     def _arrays(self):
@@ -332,14 +360,17 @@ def count_roots(f, ctx: FieldCtx) -> int:
     """Number of x in F_q with f(x) = 0, by exhaustive scan over the field.
 
     The zero polynomial vanishes everywhere and returns q.  Prime fields scan
-    all of F_p at once with one numpy Horner loop over an int64 vector of the
-    field elements, updated in place: the coefficients are reduced mod p once,
-    and the vector is reduced mod p only once every two Horner steps and at
-    the end.  That is exact because p <= Q_LIMIT = 2^20: from a reduced vector
-    (entries < p) two steps stay below p^3 < 2^63.  Extension fields run the
-    scalar Horner loop of UniPoly.eval through ctx.add and ctx.mul.  The scan
-    is the unconditional ground truth used by everything else in the package;
-    it is never replaced by factorisation.
+    F_p in blocks of BLOCK consecutive elements, each with a numpy Horner loop
+    over an int64 vector updated in place: the coefficients are reduced mod p
+    once, and the vector is reduced mod p only once every two Horner steps and
+    at the end.  That is exact because p <= Q_LIMIT = 2^20: from a reduced
+    vector (entries < p) two steps stay below p^3 < 2^63, so a context with a
+    larger p raises TooLarge.  Each reduction is v - p * (v // p), exact since
+    v >= 0, and the block's roots are the entries with v == p * (v // p) after
+    the last step.  Extension fields run the scalar Horner loop of
+    UniPoly.eval through ctx.add and ctx.mul.  The scan is the unconditional
+    ground truth used by everything else in the package; it is never replaced
+    by factorisation.
     """
     poly = f if isinstance(f, UniPoly) else UniPoly.of(f)
     deg = poly.degree()
@@ -349,17 +380,26 @@ def count_roots(f, ctx: FieldCtx) -> int:
         return 0
     if ctx.k == 1:
         p = ctx.p
+        if p > Q_LIMIT:
+            raise TooLarge(f"root counting over F_{p} needs p <= {Q_LIMIT}")
         c = [a % p for a in reversed(poly.coeffs[: deg + 1])]  # leading first
-        x = np.arange(p, dtype=np.int64)
-        # Horner from the reduced value c[0]; every entry of v is < p after a
-        # reduction, so the two steps that follow stay below p^3 < 2^63
-        v = x * c[0]
-        v += c[1]
-        for i in range(2, deg + 1):
-            if i % 2:
-                np.remainder(v, p, out=v)
-            v *= x
-            v += c[i]
-        np.remainder(v, p, out=v)
-        return p - int(np.count_nonzero(v))
+        zeros = 0
+        for lo in range(0, p, BLOCK):
+            x = np.arange(lo, min(lo + BLOCK, p), dtype=np.int64)
+            # Horner from the reduced value c[0]; every entry of v is < p after
+            # a reduction, so the two steps that follow stay below p^3 < 2^63
+            v = x * c[0]
+            v += c[1]
+            t = np.empty_like(v)
+            for i in range(2, deg + 1):
+                if i % 2:
+                    np.floor_divide(v, p, out=t)
+                    t *= p
+                    v -= t
+                v *= x
+                v += c[i]
+            np.floor_divide(v, p, out=t)
+            t *= p
+            zeros += int(np.count_nonzero(v == t))
+        return zeros
     return sum(1 for x in range(ctx.q) if poly.eval(ctx, x) == 0)

@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from fqzeta.gf import (Q_LIMIT, DegreeZero, DivisionByZero, FieldCtx,
-                       NotPrime, TooLarge, UniPoly, count_roots, is_prime,
-                       make_field)
+from fqzeta.gf import (BLOCK, Q_LIMIT, TABLE_LIMIT, DegreeZero,
+                       DivisionByZero, FieldCtx, NotPrime, TooLarge, UniPoly,
+                       count_roots, is_prime, make_field)
 
 
 def brute_poly_eval_fp(coeffs, x, p):
@@ -93,23 +94,28 @@ def test_field_axioms_sampled():
 
 
 def test_table_scalars_match_digit_routines():
-    # extension fields with q <= 256 read add/mul/neg from tables built once;
-    # the digit routines are the reference they were built from
-    for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
+    # extension fields with q <= 256 read add/mul/neg from tables built once
+    # (mul from a generator's log/antilog tables, add and neg from a numpy
+    # digit sum); the digit routines are the reference they are checked against
+    for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                 (5, 2), (7, 2)]:
         ctx = make_field(p, k)
+        assert ctx.q <= 64
         for x in range(ctx.q):
             assert ctx.neg(x) == ctx._neg_digits(x)
             for y in range(ctx.q):
                 assert ctx.add(x, y) == ctx._add_digits(x, y)
                 assert ctx.mul(x, y) == ctx._mul_digits(x, y)
-    ctx = make_field(2, 8)  # F_256, the largest field with tables
-    assert ctx._lists is not None
-    rng = random.Random(256)
-    for _ in range(2000):
-        x, y = rng.randrange(256), rng.randrange(256)
-        assert ctx.neg(x) == ctx._neg_digits(x)
-        assert ctx.add(x, y) == ctx._add_digits(x, y)
-        assert ctx.mul(x, y) == ctx._mul_digits(x, y)
+    for p, k in [(5, 3), (2, 7), (3, 5), (2, 8)]:
+        ctx = make_field(p, k)
+        assert ctx._lists is not None and ctx.q <= TABLE_LIMIT
+        rng = random.Random(ctx.q)
+        for x in range(ctx.q):
+            assert ctx.neg(x) == ctx._neg_digits(x)
+        for _ in range(5000):
+            x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            assert ctx.add(x, y) == ctx._add_digits(x, y)
+            assert ctx.mul(x, y) == ctx._mul_digits(x, y)
 
 
 def test_fermat_lagrange():
@@ -169,15 +175,17 @@ def test_count_roots_of_products_is_union():
 
 def test_count_roots_fast_path_matches_scalar():
     # prime fields take the numpy mod-p Horner scan; lengths 2..8 run both
-    # parities of its reduce-every-two-steps schedule
-    ctx = make_field(101, 1)
+    # parities of its reduce-every-two-steps schedule, and p = 8209 scans one
+    # full block and a 17-element tail
     rng = random.Random(3)
-    for length in range(2, 9):
-        for _ in range(20):
-            coeffs = [rng.randrange(101) for _ in range(length)]
-            slow = sum(1 for x in range(101)
-                       if UniPoly.of(coeffs).eval(ctx, x) == 0)
-            assert count_roots(coeffs, ctx) == slow, coeffs
+    for p, per_length in [(101, 20), (8209, 2)]:
+        ctx = make_field(p, 1)
+        for length in range(2, 9):
+            for _ in range(per_length):
+                coeffs = [rng.randrange(p) for _ in range(length)]
+                slow = sum(1 for x in range(p)
+                           if UniPoly.of(coeffs).eval(ctx, x) == 0)
+                assert count_roots(coeffs, ctx) == slow, (p, coeffs)
 
 
 def test_count_roots_exact_at_the_largest_prime():
@@ -205,6 +213,49 @@ def test_count_roots_table_path_matches_scalar():
             slow = sum(1 for x in range(ctx.q)
                        if UniPoly.of(coeffs).eval(ctx, x) == 0)
             assert count_roots(coeffs, ctx) == slow, (p, k, coeffs)
+
+
+def test_count_roots_refuses_a_context_beyond_the_exactness_cap():
+    # FieldCtx is public, so a prime-field context can bypass make_field's cap;
+    # past Q_LIMIT two Horner steps can overflow int64 and miscount silently
+    p = 3000017
+    assert is_prime(p) and p > Q_LIMIT
+    ctx = FieldCtx(p=p, k=1, q=p, modulus=(0, 1))
+    f = [p - 1]  # non-monic: (p - 1)(x - (p - 1))(x - (p - 2))(x - (p - 3))
+    for r in (p - 1, p - 2, p - 3):
+        f = _poly_mul(f, [ctx.neg(r), 1], ctx)
+    with pytest.raises(TooLarge):
+        count_roots(f, ctx)
+
+
+@pytest.mark.parametrize("p", [8191, 8209, 16381, 16411, 65537, 1048573])
+def test_count_roots_at_the_block_seams(p):
+    # the prime-field scan runs in blocks of BLOCK elements; put roots on both
+    # sides of the first two seams and at the end of the last, partial block
+    # (65537 = 8 * BLOCK + 1 ends in a block of the one element p - 1)
+    assert BLOCK == 1 << 13 and is_prime(p)
+    ctx = make_field(p, 1)
+    seams = [0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1]
+    roots = [r for r in seams if r < p] + [p - 1]
+    f = [p - 1]  # a non-monic product, times (x - r) for r = roots, repeated
+    for deg in range(1, 9):
+        f = _poly_mul(f, [ctx.neg(roots[(deg - 1) % len(roots)]), 1], ctx)
+        distinct = len(set(roots[:deg]))
+        assert count_roots(f, ctx) == distinct, (p, deg)
+
+
+def test_count_roots_memory_is_one_block():
+    # a scan holds a few BLOCK-sized int64 arrays (64 KiB each), never
+    # p-element ones (8 MiB each at p = 1048573)
+    ctx = make_field(1048573, 1)
+    count_roots([1, 0, 0, 2], ctx)  # numpy's own one-time allocations
+    tracemalloc.start()
+    try:
+        count_roots([1, 0, 0, 2], ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_unipoly_degree():
