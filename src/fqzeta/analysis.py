@@ -171,6 +171,8 @@ def verify_campaign(families=None, q_set=(2, 3, 5), kinds=("subalgebra", "ideal"
 
 # -- residue-class profiling ----------------------------------------------
 
+N_MAX = 60  # largest modulus residue_profile classifies by
+
 
 def primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
@@ -206,8 +208,8 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     collects the primes that deviate from their class's majority count, so
     "consistent at N=1 except p=2" style statements can be read off directly.
     """
-    if n_max > 60:
-        raise ValueError("n_max capped at 60")
+    if n_max > N_MAX:
+        raise ValueError(f"n_max capped at {N_MAX}")
     int_coeffs = tuple(int(c) for c in int_coeffs)
     samples = []
     for p in primes:

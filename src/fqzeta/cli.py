@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -65,6 +66,22 @@ def _emit(records, out_path: str | None, to_stdout: bool):
     if to_stdout:
         for line in lines:
             print(line)
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an --out file that cannot be written, before any work."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise CliError(f"cannot write --out {path}: {reason}", EXIT_PARSE)
 
 
 def _field_for(q: int):
@@ -279,6 +296,10 @@ def parse_int_poly(text: str) -> list[int]:
 def cmd_porc(args) -> int:
     if args.pmax > 10**6:
         raise CliError("--pmax capped at 10^6", EXIT_GUARD)
+    if args.nmax > analysis.N_MAX:
+        raise CliError(f"--nmax capped at {analysis.N_MAX}", EXIT_GUARD)
+    if args.nmax < 1:
+        raise CliError(f"--nmax must be at least 1, got {args.nmax}", EXIT_PARSE)
     if args.poly == "v720":
         label = "V7_2(2,0) = 2x^3+1"
         coeffs = [1, 0, 0, 2]
@@ -369,6 +390,8 @@ def cmd_iso(args) -> int:
     q_set = _parse_qset(args.q_set)
     kinds = _parse_kinds(args.kinds)
     families = _parse_families(args.families)
+    if args.limit < 0:
+        raise CliError(f"--limit must be at least 0, got {args.limit}", EXIT_PARSE)
     for q in q_set:
         _field_for(q)
     pairs = analysis.isospectral_scan(q_set, kinds, families)
@@ -465,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--q-set", dest="q_set", required=True)
     i.add_argument("--kinds", default="both")
     i.add_argument("--families", default="all")
-    i.add_argument("--limit", type=int, default=50, help="max rows to print")
+    i.add_argument("--limit", type=int, default=50,
+                   help="max rows to print (0: all)")
     i.add_argument("--out", help="write JSONL records to this file")
     i.set_defaults(func=cmd_iso)
 
@@ -481,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

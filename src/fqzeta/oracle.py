@@ -8,20 +8,28 @@ that the residual vanishes.  Nothing here touches the RRDF machinery; the two
 routes only share the field arithmetic itself.
 
 The batched count binds the free entries of a cell one at a time, in
-row-major order.  After each binding it runs every membership test (one
-bracket, one non-pivot column) whose highest free entry is now bound, then
-expands only the survivors by q.  A test that reads no free entry is one
-field constant, decided with ctx.add before the scan starts.  The scan holds
-the bracket coordinates of one basis pair at a time.  Rows are int16 and
-field arithmetic is a flat gather, table.take(a*q + b), on tables built once
-per field; a*q + b stays below 256 because q <= MAX_Q = 16.
+row-major order; each membership test (one bracket, one non-pivot column)
+belongs to the level of its highest free entry.  A level with tests
+evaluates them all on the candidate grid, the q values of its entry x
+crossed with the parent rows (x-major, shape (q, rows)), ANDs them into one
+mask and materialises only the survivors.  Each bracket coordinate is split
+into A + B*x, where A and B read only earlier entries and so are gathered on
+the parent rows.  Every basis entry b_t[c] of a residual is x or an earlier
+entry, so the residual w_c - sum_t w_(p_t) * b_t[c] is collected on the
+parent rows too, as r0 + r1*x + r2*x^2, and only x*(r1 + r2*x) == -r0 is
+evaluated on the grid.  A level without tests expands every row by all q
+values.  Every candidate is tested; nothing is solved for x.  A test that
+reads no free entry is one field constant, decided with ctx.add before the
+scan starts.  Rows are int16 and field arithmetic is a flat gather,
+table.take(a*q + b), on tables built once per field; a*q + b stays below 256
+because q <= MAX_Q = 16.
 
 The tests depend on the algebra only through its structure constants.  A
 template built once per (pivots, n, kind), on first use, and cached for the
 life of the process records which bracket slot [e_u, e_v] feeds which
 monomial of which basis pair, and the residual terms each non-pivot column
-may need; each algebra fills it in by walking its nonzero structure
-constants sc[u][v][d].
+may need; each algebra fills it in from its nonzero structure constants
+sc[u][v][d], listed once per algebra.
 """
 
 from __future__ import annotations
@@ -141,8 +149,19 @@ def _gathers(ctx):
     return out
 
 
+@lru_cache(maxsize=1)  # the cells of one algebra are counted in a row
+def _nonzero(L: LieAlgebra):
+    """(u*n + v, d, s) for each nonzero structure constant s = sc[u][v][d]
+    of L; u*n + v indexes the template's feeds."""
+    n = L.n
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(L.sc))
+    return tuple((slot // n, slot % n, s) for slot, s in enumerate(flat) if s)
+
+
 def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
-    """Same count as _count_cell_scalar, by prefix expansion (see above).
+    """Same count as _count_cell_scalar, level by level (see above): a
+    level's tests run on its (q, rows) candidate grid and only the survivors
+    become rows.
 
     Free entries no test reads are never bound; each multiplies the count by q.
     """
@@ -152,23 +171,16 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
     # w[pair][d]: coordinate d of the pair's bracket as (s, variables)
     # monomials, from the nonzero structure constants
     w: list = [None] * npairs
-    for u, plane in enumerate(L.sc):
-        for v, line in enumerate(plane):
-            slots = feeds[u * n + v]
-            if not slots:
-                continue
-            for d, s in enumerate(line):
-                if s:
-                    for pair, vars_ in slots:
-                        coords = w[pair]
-                        if coords is None:
-                            coords = w[pair] = [[] for _ in range(n)]
-                        coords[d].append((s, vars_))
+    for slot, d, s in _nonzero(L):
+        for pair, vars_ in feeds[slot]:
+            coords = w[pair]
+            if coords is None:
+                coords = w[pair] = [[] for _ in range(n)]
+            coords[d].append((s, vars_))
 
     # tests[v]: (bracket coordinates, [(column, [(pivot, var)])]) per pair,
     # for the tests whose highest free variable is v.  A test that reads no
     # variable is one constant on every row, decided here.
-    add = L.ctx.add
     tests: dict[int, list] = {}
     used: set[int] = set()
     for coords in w:
@@ -184,7 +196,7 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
                     for _, vars_ in coords[d] for t in vars_}
             read.update(v for _, v in terms)
             if not read:
-                if reduce(add, (s for s, _ in coords[c]), 0):
+                if reduce(L.ctx.add, (s for s, _ in coords[c]), 0):
                     return 0
                 continue
             used |= read
@@ -195,44 +207,75 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
     order = sorted(used)
     col_of = {v: i for i, v in enumerate(order)}
     add_f, mul_f, sub_f, digits = _gathers(L.ctx)
+    grid_x = digits[:, None]  # the new variable on the x-major (q, size) grid
     cols: list[np.ndarray] = []  # int16 values of the bound variables
     size = 1
 
-    def coord(monos, cols, size):
-        # one bracket coordinate over the current rows, accumulated from its
-        # first monomial
+    # field operations on the parent rows or the grid; None is a sum
+    # without monomials
+    def add(u, v):
+        return v if u is None else add_f.take(u * q + v)
+
+    def sub(u, v):
+        return u if v is None else sub_f.take((0 if u is None else u) * q + v)
+
+    def mul(u, v):
+        return None if u is None else mul_f.take(u * q + v)
+
+    def on_parents(monos):
+        # a sum of monomials over the parent rows, a constant if it reads no
+        # variable
         acc = None
         for s, vars_ in monos:
             term = s
             for v in vars_:
-                term = mul_f.take(term * q + cols[col_of[v]])
-            acc = term if acc is None else add_f.take(acc * q + term)
-        if isinstance(acc, np.ndarray):
-            return acc
-        # a coordinate that reads no variable is one constant on every row
-        return np.full(size, acc or 0, np.int16)
+                term = mul(term, cols[col_of[v]])
+            acc = add(acc, term)
+        return acc
+
+    def split(monos, x):
+        # one bracket coordinate as (A, B), A + B*x: A and B read only
+        # earlier variables, so they are gathered on the parent rows
+        a = [mono for mono in monos if x not in mono[1]]
+        b = [(s, tuple(v for v in vars_ if v != x))
+             for s, vars_ in monos if x in vars_]
+        return on_parents(a), on_parents(b)
 
     for level in order:
-        cols = [np.repeat(col, q) for col in cols]
-        cols.append(np.tile(digits, size))
-        size *= q
-        for coords, checks in tests.get(level, []):
-            vals: dict[int, np.ndarray] = {}  # this pair's bracket coordinates
+        group = tests.get(level)
+        if group is None:  # nothing to test: every row takes all q values
+            cols = [np.tile(col, q) for col in cols]
+            cols.append(np.repeat(digits, size))
+            size *= q
+            continue
+        ok = True  # the level's tests on the (q, size) candidate grid
+        for coords, checks in group:
+            parts: dict = {}  # this pair's bracket coordinates
             for c, terms in checks:
                 for d in [c] + [p for p, _ in terms]:
-                    if d not in vals:
-                        vals[d] = coord(coords[d], cols, size)
-                resid = vals[c]
+                    if d not in parts:
+                        parts[d] = split(coords[d], level)
+                # the residual r0 + r1*x + r2*x^2 on the parent rows: each
+                # entry b_t[c] is x or an earlier variable y
+                r0, r1 = parts[c]
+                r2 = None
                 for p, v in terms:
-                    prod = mul_f.take(vals[p] * q + cols[col_of[v]])
-                    resid = sub_f.take(resid * q + prod)
-                keep = np.flatnonzero(resid == 0)
-                if len(keep) < size:
-                    if not len(keep):
-                        return 0
-                    cols = [col.take(keep) for col in cols]
-                    vals = {d: a.take(keep) for d, a in vals.items()}
-                    size = len(keep)
+                    a, b = parts[p]
+                    if v == level:
+                        r1, r2 = sub(r1, a), sub(r2, b)
+                    else:
+                        y = cols[col_of[v]]
+                        r0, r1 = sub(r0, mul(a, y)), sub(r1, mul(b, y))
+                # every test reads x, so r1 or r2 is present
+                t = r1 if r2 is None else add(r1, mul(r2, grid_x))
+                ok = ok & (mul(t, grid_x) == sub(0, r0))
+        keep = np.flatnonzero(np.broadcast_to(ok, (q, size)))
+        if not len(keep):
+            return 0
+        xs, parent = np.divmod(keep, size)
+        cols = [col.take(parent) for col in cols]
+        cols.append(digits.take(xs))
+        size = len(keep)
     return size * q ** (m - len(order))
 
 

@@ -214,6 +214,18 @@ def test_porc_pmax_guard(capsys):
     assert code == EXIT_GUARD
 
 
+def test_porc_nmax_over_cap_exit_3(capsys):
+    code, out, err = run(capsys, "porc", "--nmax", "61")
+    assert code == EXIT_GUARD
+    assert err.count("\n") == 1 and "--nmax" in err and not out
+
+
+def test_porc_nmax_zero_exit_2(capsys):
+    code, out, err = run(capsys, "porc", "--nmax", "0")
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and "--nmax" in err and not out
+
+
 def test_parse_int_poly():
     assert parse_int_poly("2x^3+1") == [1, 0, 0, 2]
     assert parse_int_poly("x^2-1") == [-1, 0, 1]
@@ -236,6 +248,33 @@ def test_iso_cli(capsys):
                        "--families", "L11,L21,L22,L1,L2,L3,L4")
     assert code == EXIT_OK
     assert "L21" in out and "L22" in out
+
+
+def test_iso_negative_limit_exit_2(capsys):
+    code, out, err = run(capsys, "iso", "--q-set", "5", "--limit", "-1")
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and "--limit" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q-set", "2", "--families", "M7", "--threads", "1"],
+    ["catalog"],
+    ["zeta", "M8", "--q", "13"],
+    ["porc", "--pmax", "100000"],
+    ["iso", "--q-set", "2,3,4,5"],
+    ["period", "--families", "L3", "--q-set", "5,7,11,13"],
+])
+def test_unwritable_out_refused_up_front(argv, tmp_path, capsys):
+    # a missing directory, or a directory itself, is refused with exit 2
+    # before any work runs
+    for out_path in (tmp_path / "missing" / "x.jsonl", tmp_path):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == EXIT_PARSE, out_path
+        assert err.count("\n") == 1 and err.startswith("error: cannot write")
+        assert "Traceback" not in err and not out
+        assert time.perf_counter() - t0 < 2
+    assert not (tmp_path / "missing").exists()
 
 
 def test_period_cli(capsys):

@@ -3,11 +3,14 @@ import itertools
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_rrdf import dense_conjugates
 
-from fqzeta.formulas import gaussian_binomial
+from fqzeta.formulas import closed_form, evaluate, gaussian_binomial
 from fqzeta.gf import make_field
-from fqzeta.liealg import catalog, from_structure_constants, valid_params
-from fqzeta.oracle import GuardExceeded, _count_cell_scalar, zeta_oracle
+from fqzeta.liealg import FAMILIES, catalog, from_structure_constants, valid_params
+from fqzeta.oracle import (MAX_Q, GuardExceeded, _count_cell_scalar,
+                           _count_cell_vector, zeta_oracle)
 from fqzeta.rrdf import zeta_enumerate
 
 
@@ -58,6 +61,45 @@ def test_vector_and_scalar_oracle_agree():
                 for pivots in itertools.combinations(range(L.n), k):
                     slow[L.n - k] += _count_cell_scalar(L, pivots, kind)
             assert fast.coeffs == tuple(slow), (fam, params, q, kind)
+
+
+def test_dense_conjugates_match_scalar():
+    # dense structure constants make most bracket coordinates read both
+    # earlier entries and the new one, on extension fields as well
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dense_conjugates())
+    def check(L):
+        for k in range(1, L.n + 1):
+            for pivots in itertools.combinations(range(L.n), k):
+                for kind in ("ideal", "subalgebra"):
+                    assert _count_cell_vector(L, pivots, kind) == \
+                        _count_cell_scalar(L, pivots, kind), \
+                        (L.name, L.sc, L.ctx.q, pivots, kind)
+
+    check()
+
+
+def test_three_routes_agree_at_the_largest_field():
+    # F_16 is the oracle's largest field: flat indices a*q + b reach 255
+    ctx = make_field(2, 4)
+    assert ctx.q == MAX_Q
+    rows = 0
+    for fam in FAMILIES:
+        grid = valid_params(fam, ctx)
+        for params in dict.fromkeys(grid[:2] + grid[-2:]):
+            L = catalog(fam, params, ctx)
+            for kind in ("ideal", "subalgebra"):
+                z = zeta_oracle(L, kind)
+                assert z.coeffs == zeta_enumerate(L, kind).coeffs, \
+                    (fam, params, kind)
+                want = evaluate(closed_form(fam, params, kind, ctx), params, ctx)
+                if fam == "M12":  # the bracket constant 2 vanishes in char 2
+                    assert L.warnings
+                else:
+                    assert z.coeffs == want.coeffs, (fam, params, kind)
+                rows += 1
+    assert rows == 86
 
 
 def test_oracle_matches_enumeration_on_a_sample():
