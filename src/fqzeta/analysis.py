@@ -25,8 +25,7 @@ from .gf import NotPrime, count_roots, is_prime, make_field
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
 from .oracle import zeta_oracle
 from .rrdf import zeta_enumerate
-from .formulas import (closed_form, evaluate, realized_q_polynomial,
-                       select_branch, variety_poly_int)
+from .formulas import closed_form, evaluate, realized_q_polynomial, variety_poly_int
 
 
 class ClassificationViolation(AssertionError):
@@ -368,7 +367,7 @@ def period_estimate(family: str, kind: str, q_set,
     q_sorted = tuple(sorted(q_set))
     per_tuple = []
     for tup in tuples:
-        int_branch = select_branch(family, tup, kind, ctx=None)
+        int_branch = closed_form(family, tup, kind, ctx=None)
         realized = set()
         kept, skipped = [], []
         for q in q_sorted:
@@ -378,11 +377,10 @@ def period_estimate(family: str, kind: str, q_set,
             if family == "M9" and not m9_param_ok(params[0], ctx):
                 skipped.append(q)
                 continue
-            field_branch = select_branch(family, params, kind, ctx)
-            if field_branch.guard != int_branch.guard:
+            sz = closed_form(family, params, kind, ctx)
+            if sz is not int_branch:
                 skipped.append(q)
                 continue
-            sz = closed_form(family, params, kind, ctx)
             realized.add(realized_q_polynomial(sz, params, ctx))
             kept.append(q)
         per_tuple.append(TupleEstimate(tuple(tup), len(realized),

@@ -19,7 +19,8 @@ import traceback
 
 from . import __version__, analysis
 from .analysis import factor_prime_power, threads_from_env
-from .formulas import TABLE_VERSION, UnknownBranch, closed_form, evaluate
+from .formulas import (TABLE_VERSION, BranchTableError, UnknownBranch,
+                       branch_table, closed_form, evaluate)
 from .gf import DegreeZero, NotPrime, TooLarge, make_field
 from .liealg import (FAMILIES, BadArity, BadCatalogId, M9ParamReducible,
                      catalog, describe_instance, parse_algebra_spec)
@@ -84,6 +85,14 @@ def _check_out(path: str | None) -> None:
     raise CliError(f"cannot write --out {path}: {reason}", EXIT_PARSE)
 
 
+def _check_table() -> None:
+    """Load and check the branch table before any work that reads it."""
+    try:
+        branch_table()
+    except (OSError, BranchTableError) as exc:
+        raise CliError(f"bad branch table: {exc}", EXIT_PARSE)
+
+
 def _field_for(q: int):
     try:
         p, k = factor_prime_power(q)
@@ -136,6 +145,8 @@ def cmd_zeta(args) -> int:
     params = tuple(ctx.embed(kwargs[k]) for k in ["a", "b"][:arity])
     kind = _parse_kinds(args.kind)[0]
     methods = ["rrdf", "oracle", "formula"] if args.method == "all" else [args.method]
+    if "formula" in methods:
+        _check_table()
     try:
         if "oracle" in methods:
             check_guard(FAMILIES[family][0], ctx.q)
@@ -201,8 +212,11 @@ def cmd_verify(args) -> int:
     families = _parse_families(args.families)
     q_set = _parse_qset(args.q_set)
     kinds = _parse_kinds(args.kinds)
+    if args.threads < 0:
+        raise CliError(f"--threads must be at least 0, got {args.threads}", EXIT_PARSE)
     for q in q_set:
         _field_for(q)
+    _check_table()
     try:  # every row runs the oracle: refuse out-of-range rows before any work
         for family in families:
             for q in q_set:
@@ -300,6 +314,8 @@ def cmd_porc(args) -> int:
         raise CliError(f"--nmax capped at {analysis.N_MAX}", EXIT_GUARD)
     if args.nmax < 1:
         raise CliError(f"--nmax must be at least 1, got {args.nmax}", EXIT_PARSE)
+    if args.pmax < 2:
+        raise CliError(f"--pmax must be at least 2, got {args.pmax}", EXIT_PARSE)
     if args.poly == "v720":
         label = "V7_2(2,0) = 2x^3+1"
         coeffs = [1, 0, 0, 2]
@@ -394,6 +410,7 @@ def cmd_iso(args) -> int:
         raise CliError(f"--limit must be at least 0, got {args.limit}", EXIT_PARSE)
     for q in q_set:
         _field_for(q)
+    _check_table()
     pairs = analysis.isospectral_scan(q_set, kinds, families)
     print(f"isospectral pairs over q in {q_set}, kinds {list(kinds)}: "
           f"{len(pairs)}")
@@ -419,6 +436,7 @@ def cmd_period(args) -> int:
     families = _parse_families(args.families)
     for q in q_set:
         _field_for(q)
+    _check_table()
     records = []
     all_equal = True
     print(f"{'family':7s} {'sub':>4s} {'ideal':>6s}  parity")

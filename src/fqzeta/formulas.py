@@ -6,6 +6,10 @@ from the parameters, compared inside the field; the coefficient expressions
 are integer polynomials in q plus weighted counts of F_q-roots of the fixed
 defining polynomials below.  evaluate() turns a template into the exact
 coefficient vector for one concrete field.
+
+Each table line is parsed and checked (family, kind, guard atoms, parameter
+names, variety arity) once, when the table loads, into one SymbolicZeta with
+its guard split into atoms; closed_form() then only compares values.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .gf import FieldCtx, count_roots
+from .liealg import FAMILIES
 from .zetapoly import ZetaPoly
 
 
@@ -88,8 +93,10 @@ def _variety_coeffs(tag: str, params, add, mul, neg, one):
     raise UnknownBranch(f"unknown variety tag {tag!r}")
 
 
-VARIETY_TAGS = ("V3", "V4", "V6_1", "V6_2", "V6_3", "V6_4",
-                "V7_1", "V7_2", "V7_3", "V13", "V14")
+# tag -> number of parameters
+VARIETY_TAGS = {"V3": 1, "V4": 1, "V13": 1, "V14": 1,
+                "V6_1": 2, "V6_2": 2, "V6_3": 2, "V6_4": 2,
+                "V7_1": 2, "V7_2": 2, "V7_3": 2}
 
 
 @dataclass(frozen=True)
@@ -213,11 +220,27 @@ class ZetaTerm:
 
 @dataclass(frozen=True)
 class SymbolicZeta:
+    """One branch of the table: its guard, and a template per power of t."""
+
     family: str
     kind: str
     guard: str
-    n: int
     terms: tuple[ZetaTerm, ...]
+    atoms: tuple[tuple[int, int | str, bool], ...]  # the guard, parsed
+
+    def holds(self, params, ctx: FieldCtx | None) -> bool:
+        """Whether the guard admits params; ctx=None compares integers."""
+        for i, rhs, want in self.atoms:
+            x = params[i]
+            if rhs == "-b":
+                hit = (x + params[1] if ctx is None else ctx.add(x, params[1])) == 0
+            elif rhs == "b":
+                hit = x == params[1]
+            else:  # 0 and 1 are their own encodings in every field
+                hit = x == rhs
+            if hit != want:
+                return False
+        return True
 
     def display(self) -> str:
         chunks = []
@@ -285,7 +308,8 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_expr(tokens: list[str]) -> _Sym:
+def _parse_expr(tokens: list[str], names: tuple[str, ...]) -> _Sym:
+    """names: the family's parameters, which variety arguments may use."""
     pos = 0
 
     def peek():
@@ -316,17 +340,20 @@ def _parse_expr(tokens: list[str]) -> _Sym:
                 s = take()
                 if s == "-":
                     s += take()
-                if s.lstrip("-") not in ("a", "b"):
+                if s.lstrip("-") not in names:
                     raise BranchTableError(f"bad variety parameter {s!r}")
                 return s
 
-            names = [pname()]
+            args = [pname()]
             while peek() == ",":
                 take()
-                names.append(pname())
+                args.append(pname())
             if take() != ")":
                 raise BranchTableError("missing ) after variety parameters")
-            return _Sym(QPoly(()), {(t, tuple(names)): QPoly.const(1)})
+            if len(args) != VARIETY_TAGS[t]:
+                raise BranchTableError(
+                    f"{t} takes {VARIETY_TAGS[t]} parameters, got {len(args)}")
+            return _Sym(QPoly(()), {(t, tuple(args)): QPoly.const(1)})
         raise BranchTableError(f"unexpected token {t!r}")
 
     def factor() -> _Sym:
@@ -375,47 +402,32 @@ def _parse_expr(tokens: list[str]) -> _Sym:
 # "version N" line; every loaded table carries it.
 TABLE_VERSION = "1"
 
+_KINDS = {"sub": "subalgebra", "ideal": "ideal"}
 
-@dataclass(frozen=True)
-class Branch:
-    family: str
-    kind: str
-    guard: str
-    terms: tuple[ZetaTerm, ...]
-
-
-_GUARD_ATOMS = ("a=0", "a!=0", "a=1", "a!=1", "b=0", "b!=0",
-                "a=-b", "a!=-b", "a=b", "a!=b")
+# atom -> (index of its left parameter, right-hand side, whether it is "=")
+_GUARD_ATOMS = {f"{lhs}{op}{rhs}": ("ab".index(lhs),
+                                    int(rhs) if rhs.isdigit() else rhs, op == "=")
+                for lhs, rhs in (("a", "0"), ("a", "1"), ("b", "0"),
+                                 ("a", "-b"), ("a", "b"))
+                for op in ("=", "!=")}
 
 
-def _guard_holds(guard: str, params, ctx: FieldCtx | None) -> bool:
-    """ctx=None evaluates the guard over the integers instead of the field."""
+def _parse_guard(guard: str, names: tuple[str, ...]):
     if guard == "any":
-        return True
-
-    def val(name):
-        return params[{"a": 0, "b": 1}[name]]
-
-    def atom(s):
+        return ()
+    atoms = []
+    for s in guard.split(","):
+        s = s.strip()
         if s not in _GUARD_ATOMS:
             raise BranchTableError(f"unknown guard atom {s!r}")
-        neg = "!=" in s
-        lhs, rhs = s.replace("!=", "=").split("=")
-        x = val(lhs)
-        if rhs == "-b":
-            hit = (x + val("b") == 0) if ctx is None else (ctx.add(x, val("b")) == 0)
-        elif rhs == "b":
-            hit = x == val("b")
-        else:
-            target = int(rhs)
-            hit = (x == target) if ctx is None else (x == ctx.embed(target))
-        return hit != neg
-
-    return all(atom(s.strip()) for s in guard.split(","))
+        if set(s) & {"a", "b"} - set(names):
+            raise BranchTableError(f"guard {s!r} names a parameter the family lacks")
+        atoms.append(_GUARD_ATOMS[s])
+    return tuple(atoms)
 
 
-def _parse_table(text: str) -> dict[tuple[str, str], list[Branch]]:
-    table: dict[tuple[str, str], list[Branch]] = {}
+def _parse_table(text: str) -> dict[tuple[str, str], list[SymbolicZeta]]:
+    table: dict[tuple[str, str], list[SymbolicZeta]] = {}
     saw_version = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -429,26 +441,30 @@ def _parse_table(text: str) -> dict[tuple[str, str], list[Branch]]:
         try:
             head, body = line.split(":", 1)
             family, kind, guard = head.split()
-            exprs = [e.strip() for e in body.split("|")]
+            if family not in FAMILIES:
+                raise BranchTableError(f"unknown family {family!r}")
+            if kind not in _KINDS:
+                raise BranchTableError(f"unknown kind {kind!r}")
+            names = ("a", "b")[:FAMILIES[family][1]]
             terms = []
-            for e in exprs:
-                sym = _parse_expr(_tokenize(e))
-                vs = tuple((w, tag, names) for (tag, names), w in sorted(sym.vs.items()))
+            for e in body.split("|"):
+                sym = _parse_expr(_tokenize(e), names)
+                vs = tuple((w, tag, args) for (tag, args), w in sorted(sym.vs.items()))
                 terms.append(ZetaTerm(sym.base, vs))
-        except BranchTableError:
-            raise
+            branch = SymbolicZeta(family, _KINDS[kind], guard, tuple(terms),
+                                  _parse_guard(guard, names))
+        except BranchTableError as exc:
+            raise BranchTableError(f"line {lineno}: {exc}") from None
         except Exception as exc:
             raise BranchTableError(f"line {lineno}: cannot parse {raw!r}") from exc
-        kind = {"sub": "subalgebra", "ideal": "ideal"}[kind]
-        table.setdefault((family, kind), []).append(
-            Branch(family, kind, guard, tuple(terms)))
+        table.setdefault((family, branch.kind), []).append(branch)
     if not saw_version:
         raise BranchTableError("branch table has no version line")
     return table
 
 
 @lru_cache(maxsize=4)
-def _load_table(path: str | None) -> dict[tuple[str, str], list[Branch]]:
+def _load_table(path: str | None) -> dict[tuple[str, str], list[SymbolicZeta]]:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -457,44 +473,27 @@ def _load_table(path: str | None) -> dict[tuple[str, str], list[Branch]]:
     return _parse_table(text)
 
 
-def branch_table() -> dict[tuple[str, str], list[Branch]]:
+def branch_table() -> dict[tuple[str, str], list[SymbolicZeta]]:
     """Active table; FQZETA_BRANCH_TABLE overrides the packaged file."""
     return _load_table(os.environ.get("FQZETA_BRANCH_TABLE") or None)
 
 
-def _normalize_kind(kind: str) -> str:
-    k = {"sub": "subalgebra", "subalgebra": "subalgebra", "ideal": "ideal"}.get(kind)
-    if k is None:
-        raise ValueError(f"kind must be 'subalgebra' or 'ideal', got {kind!r}")
-    return k
-
-
-def select_branch(family: str, params, kind: str, ctx: FieldCtx | None) -> Branch:
-    """The unique branch whose guard matches; ctx=None uses integer semantics."""
-    kind = _normalize_kind(kind)
+def closed_form(family: str, params, kind: str, ctx: FieldCtx | None) -> SymbolicZeta:
+    """The branch whose guard admits params; ctx=None compares integers."""
     branches = branch_table().get((family, kind))
     if not branches:
         raise UnknownBranch(f"no closed form for {family} / {kind}")
     for br in branches:
-        if _guard_holds(br.guard, params, ctx):
+        if br.holds(params, ctx):
             return br
-    raise UnknownBranch(f"no branch of {family} / {kind} matches params {params}")
+    raise UnknownBranch(f"no branch of {family} / {kind} matches params {tuple(params)}")
 
 
-def closed_form(family: str, params, kind: str, ctx: FieldCtx) -> SymbolicZeta:
-    """The matching formula branch as a symbolic template."""
-    params = tuple(params)
-    br = select_branch(family, params, kind, ctx)
-    return SymbolicZeta(family=family, kind=br.kind, guard=br.guard,
-                        n=len(br.terms) - 1, terms=br.terms)
-
-
-def _resolve(names: tuple[str, ...], params, ctx: FieldCtx) -> tuple[int, ...]:
-    out = []
-    for n in names:
-        v = params[{"a": 0, "b": 1}[n.lstrip("-")]]
-        out.append(ctx.neg(v) if n.startswith("-") else v)
-    return tuple(out)
+def _count(tag: str, args: tuple[str, ...], params, ctx: FieldCtx) -> int:
+    """|V_tag| over ctx at the named parameters; "-a" stands for -a."""
+    vals = tuple(ctx.neg(params["ab".index(s[-1])]) if s[0] == "-"
+                 else params["ab".index(s)] for s in args)
+    return variety_count(VarietyId(tag, vals), ctx)
 
 
 def evaluate(sz: SymbolicZeta, params, ctx: FieldCtx) -> ZetaPoly:
@@ -503,15 +502,13 @@ def evaluate(sz: SymbolicZeta, params, ctx: FieldCtx) -> ZetaPoly:
     coeffs = []
     for term in sz.terms:
         v = term.base.eval(q)
-        for w, tag, names in term.varieties:
-            vid = VarietyId(tag, _resolve(names, params, ctx))
-            v += w.eval(q) * variety_count(vid, ctx)
+        for w, tag, args in term.varieties:
+            v += w.eval(q) * _count(tag, args, params, ctx)
         coeffs.append(v)
     return ZetaPoly.of(q, coeffs)
 
 
 def zeta_formula(family: str, params, kind: str, ctx: FieldCtx) -> ZetaPoly:
-    params = tuple(params)
     return evaluate(closed_form(family, params, kind, ctx), params, ctx)
 
 
@@ -525,9 +522,8 @@ def realized_q_polynomial(sz: SymbolicZeta, params, ctx: FieldCtx) -> tuple:
     out = []
     for term in sz.terms:
         poly = term.base
-        for w, tag, names in term.varieties:
-            vid = VarietyId(tag, _resolve(names, params, ctx))
-            poly = poly + w * QPoly.const(variety_count(vid, ctx))
+        for w, tag, args in term.varieties:
+            poly = poly + w * QPoly.const(_count(tag, args, params, ctx))
         out.append(poly.coeffs)
     return tuple(out)
 

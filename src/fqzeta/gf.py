@@ -274,15 +274,6 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     k = len(coeffs) - 1
     if coeffs[0] == 0:
         return False  # divisible by x
-    if k <= 3:
-        # degree 2 or 3: reducible iff it has a root
-        for x in range(p):
-            v = 0
-            for c in reversed(coeffs):
-                v = (v * x + c) % p
-            if v == 0:
-                return False
-        return True
     mod = list(coeffs)
     # Rabin: x^(p^k) == x, and gcd(x^(p^(k/l)) - x, f) = 1 for prime l | k
     xpk = _xq_pow_mod(mod, p, k)

@@ -16,10 +16,6 @@ class ZetaPoly:
     def of(q: int, coeffs) -> "ZetaPoly":
         return ZetaPoly(q, tuple(int(c) for c in coeffs))
 
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
     def display(self) -> str:
         """Human form "1 + 3t + 7t^2 + t^3" with q substituted."""
         parts = []

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -80,21 +84,84 @@ def test_zeta_guard_violations_exit_3(capsys):
         assert time.perf_counter() - t0 < 10, argv
 
 
-def test_zeta_corrupted_table_gives_mismatch(tmp_path, monkeypatch, capsys):
-    # meta-test: breaking one formula coefficient must surface as exit 1
+def _table_with(tmp_path, old, new):
     packaged = (resources.files("fqzeta") / "tables" /
                 "zeta_branches.txt").read_text()
-    corrupted = packaged.replace(
-        "M8 ideal any : 1 | 1+q | 3 | 2 | 1",
-        "M8 ideal any : 1 | 1+q | 4 | 2 | 1")
-    assert corrupted != packaged
-    alt = tmp_path / "corrupt.txt"
-    alt.write_text(corrupted)
-    monkeypatch.setenv("FQZETA_BRANCH_TABLE", str(alt))
+    assert old in packaged
+    alt = tmp_path / "bad.txt"
+    alt.write_text(packaged.replace(old, new))
+    return str(alt)
+
+
+def test_zeta_corrupted_table_gives_mismatch(tmp_path, monkeypatch, capsys):
+    # meta-test: breaking one formula coefficient must surface as exit 1
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", _table_with(
+        tmp_path, "M8 ideal any : 1 | 1+q | 3 | 2 | 1",
+        "M8 ideal any : 1 | 1+q | 4 | 2 | 1"))
     code, out, _ = run(capsys, "zeta", "M8", "--q", "7", "--kind", "ideal",
                        "--method", "all")
     assert code == EXIT_MISMATCH
     assert "verdict: MISMATCH" in out
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (None, ["zeta", "M8", "--q", "7"]),
+    (("L22 ideal any : 1 | 1 | 1", "L22 ideal a<b : 1 | 1 | 1"),
+     ["zeta", "L22", "--q", "7"]),
+    (("L22 ideal any : 1 | 1 | 1", "L22 ideal any : 1 | V3(a,b) | 1"),
+     ["zeta", "L22", "--q", "7", "--method", "formula"]),
+    (("L3 ideal a=0  : 1 | 1+q | 2 | 1", "L3 ideal a<0 : 1 | 1 | 1"),
+     ["zeta", "L3(a=1)", "--q", "7", "--method", "formula"]),
+    (("L3 ideal a=0  : 1 | 1+q | 2 | 1", "L3 ideal a<0 : 1 | 1 | 1"),
+     ["verify", "--families", "L22", "--q-set", "3", "--kinds", "ideal",
+      "--threads", "1"]),
+    (None, ["iso", "--q-set", "5"]),
+    (None, ["period", "--families", "L3", "--q-set", "5,7"]),
+])
+def test_bad_branch_table_refused_up_front(edit, argv, tmp_path, monkeypatch,
+                                           capsys):
+    # a missing or malformed table exits 2 with one error line, before any
+    # row runs, even when no lookup would reach the bad line
+    path = _table_with(tmp_path, *edit) if edit else str(tmp_path / "none.txt")
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", path)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and err.startswith("error: bad branch table")
+    assert "Traceback" not in err and not out
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "M8", "--q", "7", "--method", "rrdf"],
+    ["zeta", "M8", "--q", "7", "--method", "oracle"],
+    ["porc", "--pmax", "50", "--nmax", "2"],
+    ["catalog"],
+])
+def test_routes_without_formulas_ignore_the_table(argv, tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", str(tmp_path / "none.txt"))
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+
+
+def test_module_entry_point(tmp_path):
+    # the real `python -m fqzeta` entry point, as the benchmark runs it
+    src = str(Path(fqzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("FQZETA_BRANCH_TABLE", None)
+    cmd = [sys.executable, "-m", "fqzeta", "zeta", "M8", "--q", "7",
+           "--kind", "ideal"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "verdict: MATCH" in done.stdout
+    env["FQZETA_BRANCH_TABLE"] = str(tmp_path / "none.txt")
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith("error: bad branch table")
+    assert "Traceback" not in done.stderr and not done.stdout
 
 
 def test_verify_small_ok(tmp_path, capsys):
@@ -118,6 +185,13 @@ def test_verify_bad_threads_env_exit_2(monkeypatch, capsys):
     code, _, err = run(capsys, "verify", "--q-set", "2")
     assert code == EXIT_PARSE
     assert err.count("\n") == 1 and "FQZETA_THREADS" in err
+
+
+def test_verify_negative_threads_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--threads", "-5", "--q-set", "2",
+                         "--families", "L22")
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and "--threads" in err and not out
 
 
 @pytest.mark.parametrize("q_set", ["13,17", "17"])
@@ -173,12 +247,8 @@ def test_verify_m12_char2_anomaly_exit_zero(capsys):
 
 
 def test_verify_corrupted_table_fails(tmp_path, monkeypatch, capsys):
-    packaged = (resources.files("fqzeta") / "tables" /
-                "zeta_branches.txt").read_text()
-    alt = tmp_path / "corrupt2.txt"
-    alt.write_text(packaged.replace(
-        "L22 ideal any : 1 | 1 | 1", "L22 ideal any : 1 | 2 | 1"))
-    monkeypatch.setenv("FQZETA_BRANCH_TABLE", str(alt))
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", _table_with(
+        tmp_path, "L22 ideal any : 1 | 1 | 1", "L22 ideal any : 1 | 2 | 1"))
     code, out, _ = run(capsys, "verify", "--families", "L22", "--q-set", "3",
                        "--kinds", "ideal", "--threads", "1")
     assert code == EXIT_MISMATCH
@@ -204,9 +274,18 @@ def test_porc_x2_minus_1(capsys):
 
 
 def test_porc_empty_sample_warning(capsys):
-    code, out, _ = run(capsys, "porc", "--poly", "v720", "--pmax", "3")
-    assert code == EXIT_OK
-    assert "empty sample" in out
+    # v720 starts at p = 5: a valid bound below it holds no usable prime
+    for pmax in ("2", "3"):
+        code, out, _ = run(capsys, "porc", "--poly", "v720", "--pmax", pmax)
+        assert code == EXIT_OK
+        assert "empty sample" in out
+
+
+def test_porc_pmax_below_2_exit_2(capsys):
+    for pmax in ("1", "-5"):
+        code, out, err = run(capsys, "porc", "--pmax", pmax)
+        assert code == EXIT_PARSE
+        assert err.count("\n") == 1 and "--pmax" in err and not out
 
 
 def test_porc_pmax_guard(capsys):

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from fqzeta.formulas import (BranchTableError, QPoly, UnknownBranch,
-                             VarietyId, _guard_holds, _parse_table,
+                             VarietyId, _parse_table,
                              branch_table, closed_form, evaluate,
                              gaussian_binomial, realized_q_polynomial,
-                             select_branch, extra_variety_identities,
+                             extra_variety_identities,
                              variety_count, variety_poly, variety_poly_int,
                              zeta_formula)
 from fqzeta.gf import make_field
@@ -105,12 +105,13 @@ def test_evaluate_examples():
 
 def test_branch_guards_partition_every_family():
     table = branch_table()
+    assert set(table) == {(f, k) for f in FAMILIES
+                          for k in ("subalgebra", "ideal")}
     for q in (2, 3, 5):
         ctx = make_field(q, 1)
         for (family, kind), branches in table.items():
             for params in valid_params(family, ctx):
-                hits = [br for br in branches
-                        if _guard_holds(br.guard, params, ctx)]
+                hits = [br for br in branches if br.holds(params, ctx)]
                 assert len(hits) == 1, (family, kind, params, q)
 
 
@@ -122,9 +123,34 @@ def test_templates_have_unit_endpoints():
                     (family, kind, br.guard)
 
 
-def test_select_branch_unknown():
+def test_closed_form_unknown():
     with pytest.raises(UnknownBranch):
-        select_branch("XXX", (), "ideal", None)
+        closed_form("XXX", (), "ideal", None)
+    with pytest.raises(UnknownBranch):
+        closed_form("M8", (), "sub", None)  # kinds are spelled out
+
+
+def test_integer_guard_semantics():
+    # ctx=None compares the parameters as integers, as period estimates do:
+    # a=-b means a + b = 0 over Z, but only a + b = 0 mod p in the field
+    table = _parse_table("version 1\n"
+                         "M6 ideal a=-b  : 1 | 1 | 1 | 1 | 1\n"
+                         "M6 ideal a!=-b : 1 | 1 | 2 | 1 | 1\n")
+    hit, miss = table[("M6", "ideal")]
+    assert hit.holds((2, -2), None) and not miss.holds((2, -2), None)
+    assert miss.holds((2, 5), None) and not hit.holds((2, 5), None)
+    F7 = make_field(7, 1)
+    assert hit.holds((2, 5), F7) and not miss.holds((2, 5), F7)
+    assert closed_form("M6", (1, 0), "ideal", None).guard == "a!=0,b=0"
+
+
+def test_leading_unary_minus():
+    table = _parse_table("version 1\n"
+                         "L3 ideal any : 1 | -1+2*q | -(q-V3(a)) | 1\n")
+    (br,) = table[("L3", "ideal")]
+    assert br.terms[1].base.coeffs == (-1, 2)
+    assert br.terms[2].base.coeffs == (0, -1)
+    assert br.terms[2].varieties == ((QPoly.const(1), "V3", ("a",)),)
 
 
 def test_extra_variety_identity_examples():
@@ -180,12 +206,32 @@ def test_realized_q_polynomial_separates_branch_instances():
 def test_table_loader_rejects_garbage():
     with pytest.raises(BranchTableError):
         _parse_table("L22 ideal any : 1 | 1 | 1\n")  # missing version line
-    with pytest.raises(BranchTableError):
-        _parse_table("version 1\nL22 ideal any : 1 | V3(a)*V4(a) | 1\n")
+    with pytest.raises(BranchTableError, match="product"):
+        _parse_table("version 1\nL3 ideal any : 1 | 1 | V3(a)*V4(a) | 1\n")
     with pytest.raises(BranchTableError):
         _parse_table("version 2\n")
-    with pytest.raises(BranchTableError):
-        _guard_holds("a<b", (1,), None)  # unknown guard atom
+    with pytest.raises(BranchTableError, match="line 2: unknown guard atom"):
+        _parse_table("version 1\nL22 ideal a<b : 1 | 1 | 1\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("X9 ideal any : 1 | 1", "unknown family"),
+    ("L22 subalg any : 1 | 1 | 1", "unknown kind"),
+    ("L22 ideal a=0 : 1 | 1 | 1", "names a parameter"),
+    ("L3 ideal b!=0 : 1 | 1 | 1 | 1", "names a parameter"),
+    ("L3 ideal a=-b : 1 | 1 | 1 | 1", "names a parameter"),
+    ("L22 ideal any : 1 | V3(a,b) | 1", "bad variety parameter"),
+    ("L3 ideal any : 1 | 1 | V3(-b) | 1", "bad variety parameter"),
+    ("M6 ideal any : 1 | 1 | V3(a,b) | 1 | 1", "V3 takes 1 parameters"),
+    ("M6 ideal any : 1 | 1 | V6_1(a) | 1 | 1", "V6_1 takes 2 parameters"),
+    ("L22 ideal any : 1 | | 1", "cannot parse"),
+])
+def test_table_loader_checks_each_line_once(line, message):
+    # every line is checked when the table loads, naming the line, even a
+    # branch that an earlier guard of its block would shadow at lookup time
+    text = "version 1\nL22 ideal any : 1 | 1 | 1\n" + line + "\n"
+    with pytest.raises(BranchTableError, match=f"line 3: .*{message}"):
+        _parse_table(text)
 
 
 def test_env_override_table(tmp_path, monkeypatch):

@@ -16,8 +16,8 @@ def brute_poly_eval_fp(coeffs, x, p):
     return v
 
 
-def brute_is_irreducible_quadratic_fp(coeffs, p):
-    # degree-2 polynomial over F_p is reducible iff it has a root
+def brute_is_irreducible_low_degree_fp(coeffs, p):
+    # a polynomial of degree 2 or 3 over F_p is reducible iff it has a root
     return all(brute_poly_eval_fp(coeffs, x, p) for x in range(p))
 
 
@@ -33,11 +33,19 @@ def test_f4_modulus_is_smallest_irreducible():
     # oracle: scan the 4 monic quadratics over F_2 in low-to-high lex order
     expected = None
     for c0, c1 in itertools.product(range(2), repeat=2):
-        if brute_is_irreducible_quadratic_fp([c0, c1, 1], 2):
+        if brute_is_irreducible_low_degree_fp([c0, c1, 1], 2):
             expected = (c0, c1, 1)
             break
     assert expected == (1, 1, 1)  # x^2 + x + 1
     assert make_field(2, 2).modulus == expected
+    # Rabin's test picks the first monic irreducible of degree 2 and 3 too;
+    # the root test is the reference
+    for p in (2, 3, 5, 7):
+        for k in (2, 3):
+            first = next(tail + (1,)
+                         for tail in itertools.product(range(p), repeat=k)
+                         if brute_is_irreducible_low_degree_fp(tail + (1,), p))
+            assert make_field(p, k).modulus == first, (p, k)
 
 
 def test_f4_multiplication():
