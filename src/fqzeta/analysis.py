@@ -51,14 +51,14 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def threads_from_env(default: int | None = None) -> int:
+def threads_from_env() -> int:
     """Worker count from FQZETA_THREADS; ValueError unless it is a positive integer."""
     raw = os.environ.get("FQZETA_THREADS")
     if raw:
         if not raw.isdecimal() or int(raw) < 1:
             raise ValueError(f"FQZETA_THREADS must be a positive integer, got {raw!r}")
         return int(raw)
-    return default if default is not None else (os.cpu_count() or 1)
+    return os.cpu_count() or 1
 
 
 # -- three-way verification ---------------------------------------------

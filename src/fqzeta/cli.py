@@ -85,12 +85,18 @@ def _check_out(path: str | None) -> None:
     raise CliError(f"cannot write --out {path}: {reason}", EXIT_PARSE)
 
 
-def _check_table() -> None:
-    """Load and check the branch table before any work that reads it."""
+def _check_table(families, kinds) -> None:
+    """Load and check the branch table, and that it has a block for each
+    requested family and kind, before any work that reads it."""
     try:
-        branch_table()
+        table = branch_table()
     except (OSError, BranchTableError) as exc:
         raise CliError(f"bad branch table: {exc}", EXIT_PARSE)
+    for family in families:
+        for kind in kinds:
+            if (family, kind) not in table:
+                raise CliError(f"bad branch table: no closed form for "
+                               f"{family} / {kind}", EXIT_PARSE)
 
 
 def _field_for(q: int):
@@ -126,6 +132,8 @@ def _parse_families(text: str) -> list[str]:
     if text == "all":
         return list(FAMILIES)
     fams = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not fams:
+        raise CliError("empty --families", EXIT_PARSE)
     for f in fams:
         if f not in FAMILIES:
             raise CliError(f"unknown family {f!r}", EXIT_PARSE)
@@ -146,7 +154,7 @@ def cmd_zeta(args) -> int:
     kind = _parse_kinds(args.kind)[0]
     methods = ["rrdf", "oracle", "formula"] if args.method == "all" else [args.method]
     if "formula" in methods:
-        _check_table()
+        _check_table([family], [kind])
     try:
         if "oracle" in methods:
             check_guard(FAMILIES[family][0], ctx.q)
@@ -168,10 +176,8 @@ def cmd_zeta(args) -> int:
                 sz = closed_form(family, params, kind, ctx)
                 branch = sz.guard
                 z = evaluate(sz, params, ctx)
-        except (GuardExceeded, TooLarge) as exc:
+        except TooLarge as exc:
             raise CliError(str(exc), EXIT_GUARD)
-        except UnknownBranch as exc:
-            raise CliError(str(exc), EXIT_PARSE)
         polys[method] = z
         meta = {"seconds": round(time.perf_counter() - t0, 6)}
         if branch is not None:
@@ -216,7 +222,7 @@ def cmd_verify(args) -> int:
         raise CliError(f"--threads must be at least 0, got {args.threads}", EXIT_PARSE)
     for q in q_set:
         _field_for(q)
-    _check_table()
+    _check_table(families, kinds)
     try:  # every row runs the oracle: refuse out-of-range rows before any work
         for family in families:
             for q in q_set:
@@ -410,7 +416,7 @@ def cmd_iso(args) -> int:
         raise CliError(f"--limit must be at least 0, got {args.limit}", EXIT_PARSE)
     for q in q_set:
         _field_for(q)
-    _check_table()
+    _check_table(families, kinds)
     pairs = analysis.isospectral_scan(q_set, kinds, families)
     print(f"isospectral pairs over q in {q_set}, kinds {list(kinds)}: "
           f"{len(pairs)}")
@@ -436,7 +442,7 @@ def cmd_period(args) -> int:
     families = _parse_families(args.families)
     for q in q_set:
         _field_for(q)
-    _check_table()
+    _check_table(families, ("subalgebra", "ideal"))
     records = []
     all_equal = True
     print(f"{'family':7s} {'sub':>4s} {'ideal':>6s}  parity")
@@ -528,6 +534,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except UnknownBranch as exc:  # the branch table has no guard for a row
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:
         # never let a defect exit 1, which means "mismatch"
         traceback.print_exc()

@@ -31,9 +31,14 @@ roots of the monic x^2 + (B/C) x + A/C from a table of root counts and roots
 built once per field, or every value where A = B = C = 0.  The level's other
 conditions then filter the rows.  An entry that is the highest entry of no
 condition takes every value; entries no condition reads are never bound, and
-each multiplies the count by q.  Rows go depth-first in batches of at most
-CHUNK.  Field arithmetic is a flat gather, table.take(a*q + b), on int32
-tables built once per field, since a*q + b reaches 65535 at q = 256.
+each multiplies the count by q.  Every kind of level hands back the same two
+things: its solutions as (parent row, value) picks, and the parent rows on
+which every value solves.  One loop cuts these into batches of at most CHUNK
+rows, slicing the picks and repeating CHUNK // q every-value parents at a
+time by all q values; each batch is filtered and scanned depth-first before
+the next is made, so no level's expansion is held whole.  Field arithmetic
+is a flat gather, table.take(a*q + b), on int32 tables built once per
+field, since a*q + b reaches 65535 at q = 256.
 is_ideal / is_subalgebra do the same test by direct matrix arithmetic for a
 single matrix.  Both paths are cross-checked in the test suite.
 """
@@ -441,9 +446,8 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
     add_rows, mul_rows, add_f, mul_f, digits = _gathers(L.ctx)
     neginv, n_roots, root1, root2 = _roots(L.ctx)
     end = len(levels)
-    # bound[depth]: the variables bound once level depth is
-    bound = [[lv[0] for lv in levels[:depth + 1]] for depth in range(end)]
     step = max(1, CHUNK // q)  # rows that take every value, per batch
+    nothing = np.zeros(0, dtype=np.intp)
 
     def value(monos, cols, rows):
         # the int32 values of a monomial list on the rows
@@ -461,98 +465,70 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
             return np.full(rows, const, dtype=np.int32)
         return add_rows[const].take(acc) if const else acc
 
-    def keep(cols, depth, picked):
-        # the rows at picked of the variables bound before level depth
-        cols = cols.copy()
-        for t in bound[depth][:-1]:
-            cols[t] = cols[t].take(picked)
-        return cols
-
-    def test(cols, rows, depth):
-        # apply level depth's filters, then bind the levels after it
-        for monos in levels[depth][5]:
-            passed = (value(monos, cols, rows) == 0).nonzero()[0]
-            if len(passed) < rows:
-                if not len(passed):
-                    return 0
-                rows = len(passed)
-                cols = cols.copy()
-                for t in bound[depth]:
-                    cols[t] = cols[t].take(passed)
-        return scan(cols, rows, depth + 1)
-
-    def every(cols, rows, depth):
-        # give level depth's variable every value on each row, in batches
-        var = levels[depth][0]
-        total = 0
-        for start in range(0, rows, step):
-            child = cols.copy()
-            for t in bound[depth][:-1]:
-                child[t] = np.repeat(cols[t][start:start + step], q)
-            part = min(step, rows - start)
-            child[var] = np.tile(digits, part)
-            total += test(child, part * q, depth)
-        return total
-
-    def scan(cols, rows, depth):
-        # cols[t]: the int16 column of variable t, for every variable bound
-        # before level depth; count the extensions passing every condition
-        if depth == end:
-            return rows
-        var, how, A, B, C, _ = levels[depth]
+    def solve(how, A, B, C, cols, rows):
+        # (src, x, every): the level's solutions on the rows, as parent rows
+        # src with their values x of the variable, and the parent rows on
+        # which every value solves
         if how == FREE:
-            return every(cols, rows, depth)
+            return nothing, nothing, np.arange(rows)
         a = value(A, cols, rows)
         if how == DIRECT:
-            cols = cols.copy()
-            cols[var] = a.astype(np.int16)
-            return test(cols, rows, depth)
+            return np.arange(rows), a, nothing
         b = value(B, cols, rows)
-        picks = []  # (rows, their value of var)
-        lin = None  # rows solved as B x + A = 0; None means all
+        src, x = [], []
+        lin = np.arange(rows)  # the rows solved as B x + A = 0
         if how == QUADRATIC:
             c = value(C, cols, rows)
             scale = neginv.take(c)
             at = mul_f.take(b * q + scale) * q + mul_f.take(a * q + scale)
             count = n_roots.take(at)
             lin = (c == 0).nonzero()[0]
-            if len(lin):
-                count[lin] = 0
-                a = a.take(lin)
-                b = b.take(lin)
+            count[lin] = 0
+            a = a.take(lin)
+            b = b.take(lin)
             one = count.nonzero()[0]
             two = (count == 2).nonzero()[0]
-            picks += [(one, root1.take(at.take(one))),
-                      (two, root2.take(at.take(two)))]
-        total = 0
-        if lin is None or len(lin):
-            # B x + A = 0: one root where B != 0, every x where A = B = 0
-            nz = b.nonzero()[0]
-            x = mul_f.take(a.take(nz) * q + neginv.take(b.take(nz)))
-            picks.append((nz if lin is None else lin.take(nz), x))
-            if len(nz) < len(b):
-                free = ((a | b) == 0).nonzero()[0]
-                if len(free):
-                    if lin is not None:
-                        free = lin.take(free)
-                    total += every(keep(cols, depth, free), len(free), depth)
-        picks = [p for p in picks if len(p[0])]
-        if not picks:
-            return total
-        if len(picks) == 1 and len(picks[0][0]) == rows:  # one root per row
-            cols = cols.copy()
-            cols[var] = picks[0][1].astype(np.int16)
-            return total + test(cols, rows, depth)
-        src = np.concatenate([p[0] for p in picks])
-        x = np.concatenate([p[1] for p in picks]).astype(np.int16)
+            src += [one, two]
+            x += [root1.take(at.take(one)), root2.take(at.take(two))]
+        # one root where B != 0, every value where A = B = 0
+        nz = b.nonzero()[0]
+        src.append(lin.take(nz))
+        x.append(mul_f.take(a.take(nz) * q + neginv.take(b.take(nz))))
+        return (np.concatenate(src), np.concatenate(x),
+                lin.take(((a | b) == 0).nonzero()[0]))
+
+    def batches(src, x, every):
+        # (parent rows, values) in batches of at most CHUNK rows
         for start in range(0, len(src), CHUNK):
-            part = src[start:start + CHUNK]
-            child = keep(cols, depth, part)
-            child[var] = x[start:start + CHUNK]
-            total += test(child, len(part), depth)
+            yield src[start:start + CHUNK], x[start:start + CHUNK]
+        for start in range(0, len(every), step):
+            part = every[start:start + step]
+            yield np.repeat(part, q), np.tile(digits, len(part))
+
+    def scan(cols, rows, depth):
+        # cols[t]: the int16 column of variable t, for every variable bound
+        # before level depth; count the extensions passing every condition
+        if depth == end:
+            return rows
+        var, how, A, B, C, filters = levels[depth]
+        total = 0
+        for src, x in batches(*solve(how, A, B, C, cols, rows)):
+            child = {t: col.take(src) for t, col in cols.items()}
+            child[var] = x.astype(np.int16, copy=False)
+            size = len(src)
+            del src  # not held while the batch is scanned
+            for monos in filters:
+                passed = (value(monos, child, size) == 0).nonzero()[0]
+                if len(passed) < size:
+                    size = len(passed)
+                    if not size:
+                        break
+                    child = {t: col.take(passed) for t, col in child.items()}
+            if size:
+                total += scan(child, size, depth + 1)
         return total
 
-    return scan([None] * m, 1, 0) * q ** (m - end)
+    return scan({}, 1, 0) * q ** (m - end)
 
 
 @lru_cache(maxsize=32)

@@ -17,8 +17,6 @@ def test_factor_prime_power():
 def test_threads_from_env(monkeypatch):
     monkeypatch.setenv("FQZETA_THREADS", "3")
     assert an.threads_from_env() == 3
-    monkeypatch.delenv("FQZETA_THREADS")
-    assert an.threads_from_env(default=2) == 2
     monkeypatch.setenv("FQZETA_THREADS", "abc")
     with pytest.raises(ValueError, match="positive integer"):
         an.threads_from_env()

@@ -133,6 +133,44 @@ def test_bad_branch_table_refused_up_front(edit, argv, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--families", "L22", "--q-set", "3", "--threads", "1"],
+    ["iso", "--families", "L22", "--q-set", "3"],
+    ["period", "--families", "L22", "--q-set", "3"],
+    ["zeta", "L22", "--q", "3", "--method", "formula"],
+    ["zeta", "L22", "--q", "3", "--kind", "sub", "--method", "all"],
+])
+def test_missing_branch_block_refused_up_front(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # a table that loads but has no block for a requested family and kind
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", _table_with(
+        tmp_path, "L22 ideal any : 1 | 1 | 1\nL22 sub   any : 1 | 1+q | 1\n", ""))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad branch table: no closed form for L22 / ")
+    assert "Traceback" not in err and not out
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--families", "L3", "--q-set", "3", "--threads", "1"],
+    ["iso", "--families", "L3", "--q-set", "3"],
+    ["period", "--families", "L3", "--q-set", "3,5"],
+    ["zeta", "L3(a=0)", "--q", "3", "--method", "formula"],
+])
+def test_uncovered_parameters_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # a block whose guards miss a parameter value is a table error, not an
+    # internal one, though it shows only once that row is reached
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", _table_with(
+        tmp_path, "L3 ideal a=0  : 1 | 1+q | 2 | 1\n", ""))
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1
+    assert err.startswith("error: no branch of L3 / ideal matches params (0,)")
+
+
+@pytest.mark.parametrize("argv", [
     ["zeta", "M8", "--q", "7", "--method", "rrdf"],
     ["zeta", "M8", "--q", "7", "--method", "oracle"],
     ["porc", "--pmax", "50", "--nmax", "2"],
@@ -327,6 +365,16 @@ def test_iso_cli(capsys):
                        "--families", "L11,L21,L22,L1,L2,L3,L4")
     assert code == EXIT_OK
     assert "L21" in out and "L22" in out
+
+
+@pytest.mark.parametrize("cmd", ["verify", "iso", "period"])
+def test_empty_families_exit_2(cmd, capsys):
+    # "--families ," names no family; it must not fall back to all of them
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, cmd, "--families", ",", "--q-set", "3")
+    assert code == EXIT_PARSE
+    assert err == "error: empty --families\n" and not out
+    assert time.perf_counter() - t0 < 2
 
 
 def test_iso_negative_limit_exit_2(capsys):

@@ -221,13 +221,22 @@ def test_vector_and_scalar_cell_counts_agree():
 
 
 def test_vector_path_chunks_large_cells():
-    # a cell bigger than one chunk still counts exactly
+    # M1's cells have no condition, so this one is counted without a scan
     ctx = make_field(13, 1)
     L = catalog("M1", (), ctx)
     big = dt((0, 2), (2, 0))
     assert cell_size(big, 13) == 13**4
-    assert 13**4 > CHUNK / 4  # sanity: the chunking code path is exercised
+    assert 13**4 > CHUNK / 4
     assert cell_count(L, big, "ideal") == 13**4
+    # M4's subalgebra scans split into several batches at the real CHUNK:
+    # over F_64 the cell (1,1,0,0) gives 4096 rows every value, CHUNK // 64
+    # at a time, and over F_256 the cell (1,0,1,0) has 130560 solved rows
+    for p, k in [(2, 6), (2, 8)]:
+        ctx = make_field(p, k)
+        L = catalog("M4", (), ctx)
+        for kind in ("ideal", "subalgebra"):
+            want = evaluate(closed_form("M4", (), kind, ctx), (), ctx)
+            assert zeta_enumerate(L, kind).coeffs == want.coeffs, (ctx.q, kind)
 
 
 def test_batched_expansion_matches_scalar(monkeypatch):
