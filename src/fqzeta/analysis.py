@@ -159,8 +159,10 @@ def verify_campaign(families=None, q_set=(2, 3, 5), kinds=("subalgebra", "ideal"
     kinds = tuple(kinds)
     items = campaign_items(families, q_set, kinds)
     threads = threads if threads is not None else threads_from_env()
-    if threads > 1 and len(items) > 8:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the pool starts every worker at once: no more than chunks or cores
+    workers = min(threads, -(-len(items) // 16), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_verify_item, items, chunksize=16))
     else:
         rows = [_verify_item(it) for it in items]

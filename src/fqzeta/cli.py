@@ -21,7 +21,7 @@ from . import __version__, analysis
 from .analysis import factor_prime_power, threads_from_env
 from .formulas import (TABLE_VERSION, BranchTableError, UnknownBranch,
                        branch_table, closed_form, evaluate)
-from .gf import DegreeZero, NotPrime, TooLarge, make_field
+from .gf import TooLarge, make_field
 from .liealg import (FAMILIES, BadArity, BadCatalogId, M9ParamReducible,
                      catalog, describe_instance, parse_algebra_spec)
 from .oracle import GuardExceeded, check_guard, zeta_oracle
@@ -103,10 +103,10 @@ def _field_for(q: int):
     try:
         p, k = factor_prime_power(q)
         return make_field(p, k)
-    except (ValueError, NotPrime, DegreeZero) as exc:
-        raise CliError(f"bad field order {q}: {exc}", EXIT_PARSE)
-    except TooLarge as exc:
+    except TooLarge as exc:  # a ValueError too, so caught first
         raise CliError(str(exc), EXIT_GUARD)
+    except ValueError as exc:
+        raise CliError(f"bad field order {q}: {exc}", EXIT_PARSE)
 
 
 def _parse_qset(text: str) -> list[int]:

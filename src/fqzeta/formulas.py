@@ -10,19 +10,26 @@ coefficient vector for one concrete field.
 Each table line is parsed and checked (family, kind, guard atoms, parameter
 names, variety arity) once, when the table loads, into one SymbolicZeta with
 its guard split into atoms; closed_form() then only compares values.
+
+A coefficient expression is read by Python's own parser (ast, mode "eval"),
+with ^ replaced by **.  The table grammar is the subset of nodes the walker
+accepts: +, - and *; ** with a literal int exponent; unary minus; int
+constants (not bool); the name q; and calls of a VARIETY_TAGS name with
+positional arguments, each a family parameter or its negation.  Any other
+node is refused with a BranchTableError that names it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from .gf import FieldCtx, count_roots
 from .liealg import FAMILIES
-from .zetapoly import ZetaPoly
+from .zetapoly import ZetaPoly, _display
 
 
 class UnknownBranch(LookupError):
@@ -171,26 +178,7 @@ class QPoly:
         return not self.coeffs
 
     def display(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                x = "q" if i == 1 else f"q^{i}"
-                if c == 1:
-                    parts.append(x)
-                elif c == -1:
-                    parts.append(f"-{x}")
-                else:
-                    parts.append(f"{c}{x}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _display(self.coeffs, "q")
 
 
 # -- symbolic templates ----------------------------------------------------
@@ -263,8 +251,6 @@ class SymbolicZeta:
 
 # -- expression parser -------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]\w*|\(|\)|\+|-|\*|\^|,)")
-
 
 class _Sym:
     """base + sum of weight * variety, weights and base in Z[q]."""
@@ -294,106 +280,38 @@ class _Sym:
         return _Sym(self.base * other.base, vs)
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise BranchTableError(f"bad character in expression: {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def _parse_expr(tokens: list[str], names: tuple[str, ...]) -> _Sym:
-    """names: the family's parameters, which variety arguments may use."""
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        t = tokens[pos]
-        pos += 1
-        return t
-
-    def atom() -> _Sym:
-        t = take()
-        if t == "(":
-            v = expr()
-            if take() != ")":
-                raise BranchTableError("missing )")
-            return v
-        if t.isdigit():
-            return _Sym(QPoly.const(int(t)))
-        if t == "q":
-            return _Sym(QPoly.of([0, 1]))
-        if t in VARIETY_TAGS:
-            if take() != "(":
-                raise BranchTableError(f"{t} needs parameters")
-
-            def pname():
-                s = take()
-                if s == "-":
-                    s += take()
-                if s.lstrip("-") not in names:
-                    raise BranchTableError(f"bad variety parameter {s!r}")
-                return s
-
-            args = [pname()]
-            while peek() == ",":
-                take()
-                args.append(pname())
-            if take() != ")":
-                raise BranchTableError("missing ) after variety parameters")
-            if len(args) != VARIETY_TAGS[t]:
-                raise BranchTableError(
-                    f"{t} takes {VARIETY_TAGS[t]} parameters, got {len(args)}")
-            return _Sym(QPoly(()), {(t, tuple(args)): QPoly.const(1)})
-        raise BranchTableError(f"unexpected token {t!r}")
-
-    def factor() -> _Sym:
-        v = atom()
-        while peek() == "^":
-            take()
-            e = take()
-            if not e.isdigit():
-                raise BranchTableError("exponent must be a literal integer")
+def _parse_expr(node: ast.expr, names: tuple[str, ...]) -> _Sym:
+    """The value of one parsed coefficient expression; any node outside the
+    table grammar is refused.  names: the family's parameters, which
+    variety arguments may use."""
+    match node:
+        case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() as op, right):
+            x, y = _parse_expr(left, names), _parse_expr(right, names)
+            if isinstance(op, ast.Mult):
+                return x * y
+            return x + (-y if isinstance(op, ast.Sub) else y)
+        case ast.BinOp(left, ast.Pow(), ast.Constant(n)) if type(n) is int:
+            x = _parse_expr(left, names)
             out = _Sym(QPoly.const(1))
-            for _ in range(int(e)):
-                out = out * v
-            v = out
-        return v
-
-    def term() -> _Sym:
-        v = factor()
-        while peek() == "*":
-            take()
-            v = v * factor()
-        return v
-
-    def expr() -> _Sym:
-        neg = False
-        if peek() == "-":
-            take()
-            neg = True
-        v = term()
-        if neg:
-            v = -v
-        while peek() in ("+", "-"):
-            op = take()
-            w = term()
-            v = v + (-w if op == "-" else w)
-        return v
-
-    v = expr()
-    if pos != len(tokens):
-        raise BranchTableError(f"trailing tokens {tokens[pos:]!r}")
-    return v
+            for _ in range(n):
+                out = out * x
+            return out
+        case ast.UnaryOp(ast.USub(), operand):
+            return -_parse_expr(operand, names)
+        case ast.Constant(c) if type(c) is int:
+            return _Sym(QPoly.const(c))
+        case ast.Name("q"):
+            return _Sym(QPoly.of([0, 1]))
+        case ast.Call(ast.Name(tag), args, []) if tag in VARIETY_TAGS:
+            args = tuple(ast.unparse(arg) for arg in args)
+            for s in args:  # a parameter name, or "-" and one
+                if s.removeprefix("-") not in names:
+                    raise BranchTableError(f"bad variety parameter {s!r}")
+            if len(args) != VARIETY_TAGS[tag]:
+                raise BranchTableError(
+                    f"{tag} takes {VARIETY_TAGS[tag]} parameters, got {len(args)}")
+            return _Sym(QPoly(()), {(tag, args): QPoly.const(1)})
+    raise BranchTableError(f"{ast.unparse(node)!r} is not in the table grammar")
 
 
 # -- branch table -----------------------------------------------------------
@@ -448,7 +366,8 @@ def _parse_table(text: str) -> dict[tuple[str, str], list[SymbolicZeta]]:
             names = ("a", "b")[:FAMILIES[family][1]]
             terms = []
             for e in body.split("|"):
-                sym = _parse_expr(_tokenize(e), names)
+                tree = ast.parse(e.strip().replace("^", "**"), mode="eval")
+                sym = _parse_expr(tree.body, names)
                 vs = tuple((w, tag, args) for (tag, args), w in sorted(sym.vs.items()))
                 terms.append(ZetaTerm(sym.base, vs))
             branch = SymbolicZeta(family, _KINDS[kind], guard, tuple(terms),

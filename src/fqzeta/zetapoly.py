@@ -18,17 +18,21 @@ class ZetaPoly:
 
     def display(self) -> str:
         """Human form "1 + 3t + 7t^2 + t^3" with q substituted."""
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c == 1 else f"{c}{t}")
-        return " + ".join(parts) if parts else "0"
+        return _display(self.coeffs, "t")
 
     def __le__(self, other: "ZetaPoly") -> bool:
         return len(self.coeffs) == len(other.coeffs) and all(
             a <= b for a, b in zip(self.coeffs, other.coeffs))
+
+
+def _display(coeffs, x: str) -> str:
+    """Integer coefficients, low to high, as "1 + 3x + 7x^2 - x^3"."""
+    out = ""
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        power = "" if i == 0 else x if i == 1 else f"{x}^{i}"
+        digits = "" if abs(c) == 1 and power else str(abs(c))
+        sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+        out += sign + digits + power
+    return out or "0"

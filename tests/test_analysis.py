@@ -73,6 +73,35 @@ def test_campaign_parallel_matches_serial():
     assert serial.ok
 
 
+def test_campaign_pool_no_larger_than_chunks_or_cores(monkeypatch):
+    # the pool starts all its workers at once; 18 items are 2 chunks of 16
+    sizes = []
+
+    class FakePool:  # maps in-process, so no worker is started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(an, "ProcessPoolExecutor", FakePool)
+    families, q_set = ["L11", "L21", "L22"], (2, 3, 5)
+    monkeypatch.setattr(an.os, "cpu_count", lambda: 64)
+    rep = an.verify_campaign(families, q_set, threads=10_000)
+    assert len(rep.rows) == 18 and rep.ok
+    assert sizes == [2]
+    monkeypatch.setattr(an.os, "cpu_count", lambda: 1)
+    serial = an.verify_campaign(families, q_set, threads=10_000)
+    assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in rep.rows]
+    assert sizes == [2]  # one core: serial, no pool
+
+
 def test_cornacchia_examples():
     assert an.cornacchia_27(31) == (2, 1)
     assert an.cornacchia_27(7) is None

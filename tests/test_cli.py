@@ -84,6 +84,21 @@ def test_zeta_guard_violations_exit_3(capsys):
         assert time.perf_counter() - t0 < 10, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "M8", "--q", "2097152", "--method", "formula"],
+    ["verify", "--families", "L22", "--q-set", "2097152"],
+    ["iso", "--q-set", "2097152"],
+    ["period", "--q-set", "2097152"],
+])
+def test_field_order_over_cap_exit_3(argv, capsys):
+    # 2^21 is a prime power past the 2^20 field cap: a guard, not a parse error
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_GUARD
+    assert err.count("\n") == 1 and err.startswith("error:") and not out
+    assert time.perf_counter() - t0 < 2
+
+
 def _table_with(tmp_path, old, new):
     packaged = (resources.files("fqzeta") / "tables" /
                 "zeta_branches.txt").read_text()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -107,8 +108,9 @@ def test_branch_guards_partition_every_family():
     table = branch_table()
     assert set(table) == {(f, k) for f in FAMILIES
                           for k in ("subalgebra", "ideal")}
-    for q in (2, 3, 5):
-        ctx = make_field(q, 1)
+    # F_4 meets every char-2 combination of a=0, a=1, b=0 and a=b (= a=-b)
+    for q in (2, 3, 4, 5):
+        ctx = field_of(q)
         for (family, kind), branches in table.items():
             for params in valid_params(family, ctx):
                 hits = [br for br in branches if br.holds(params, ctx)]
@@ -151,6 +153,13 @@ def test_leading_unary_minus():
     assert br.terms[1].base.coeffs == (-1, 2)
     assert br.terms[2].base.coeffs == (0, -1)
     assert br.terms[2].varieties == ((QPoly.const(1), "V3", ("a",)),)
+    # Python's grammar: a minus after an operator, and ** for ^
+    table = _parse_table("version 1\n"
+                         "L3 ideal any : 1 | 2*-q^2 | q**2-V3(-a) | 1\n")
+    (br,) = table[("L3", "ideal")]
+    assert br.terms[1].base.coeffs == (0, 0, -2)
+    assert br.terms[2].base.coeffs == (0, 0, 1)
+    assert br.terms[2].varieties == ((QPoly.const(-1), "V3", ("-a",)),)
 
 
 def test_extra_variety_identity_examples():
@@ -225,12 +234,19 @@ def test_table_loader_rejects_garbage():
     ("M6 ideal any : 1 | 1 | V3(a,b) | 1 | 1", "V3 takes 1 parameters"),
     ("M6 ideal any : 1 | 1 | V6_1(a) | 1 | 1", "V6_1 takes 2 parameters"),
     ("L22 ideal any : 1 | | 1", "cannot parse"),
-])
+] + [(f"L3 ideal any : 1 | 1 | {expr} | 1", f"{node!r} is not in the table grammar")
+     for expr, node in [
+         ("1/q", "1 / q"), ("q%2", "q % 2"), ("1.5", "1.5"), ("True", "True"),
+         ("q^q", "q ** q"), ("q^-1", "q ** (-1)"), ("q^2^3", "q ** 2 ** 3"),
+         ("V9(a)", "V9(a)"), ("V3(a=a)", "V3(a=a)"), ("q.real", "q.real"),
+         ("[q]", "[q]"), ("x", "x"), ('__import__("os")', "__import__('os')"),
+         ("q if q else 1", "q if q else 1"), ("+q", "+q")]])
 def test_table_loader_checks_each_line_once(line, message):
     # every line is checked when the table loads, naming the line, even a
-    # branch that an earlier guard of its block would shadow at lookup time
+    # branch that an earlier guard of its block would shadow at lookup time;
+    # Python's parser reads any expression, so the grammar refuses the rest
     text = "version 1\nL22 ideal any : 1 | 1 | 1\n" + line + "\n"
-    with pytest.raises(BranchTableError, match=f"line 3: .*{message}"):
+    with pytest.raises(BranchTableError, match=f"line 3: .*{re.escape(message)}"):
         _parse_table(text)
 
 
