@@ -19,7 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import isqrt
+from math import comb, isqrt
 
 from .gf import NotPrime, count_roots, is_prime, make_field
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
@@ -399,6 +399,18 @@ def period_parity(family: str, q_set, int_tuples=None):
 
 
 # -- isospectral pairs -------------------------------------------------------
+
+# Largest iso_work the CLI runs.  At the limit, all families and both kinds
+# admit q <= 37 (8.8e6); q = 41 (1.3e7), and M6 alone past q = 53, are refused.
+ISO_WORK_LIMIT = 10**7
+
+
+def iso_work(q_set, kinds, families) -> int:
+    """Instance pairs isospectral_scan may compare: C(n_q, 2) per q and kind,
+    with n_q = sum over the families of q^arity.  Read off the grid alone,
+    without evaluating any instance."""
+    return sum(len(kinds) * comb(sum(q ** FAMILIES[f][1] for f in families), 2)
+               for q in q_set)
 
 
 @dataclass(frozen=True, slots=True)

@@ -102,11 +102,9 @@ def _check_table(families, kinds) -> None:
 def _field_for(q: int):
     try:
         p, k = factor_prime_power(q)
-        return make_field(p, k)
-    except TooLarge as exc:  # a ValueError too, so caught first
-        raise CliError(str(exc), EXIT_GUARD)
     except ValueError as exc:
         raise CliError(f"bad field order {q}: {exc}", EXIT_PARSE)
+    return make_field(p, k)
 
 
 def _parse_qset(text: str) -> list[int]:
@@ -155,29 +153,23 @@ def cmd_zeta(args) -> int:
     methods = ["rrdf", "oracle", "formula"] if args.method == "all" else [args.method]
     if "formula" in methods:
         _check_table([family], [kind])
-    try:
-        if "oracle" in methods:
-            check_guard(FAMILIES[family][0], ctx.q)
-        L = catalog(family, params, ctx)
-    except (GuardExceeded, M9ParamReducible) as exc:
-        raise CliError(str(exc), EXIT_GUARD)
+    if "oracle" in methods:
+        check_guard(FAMILIES[family][0], ctx.q)
+    L = catalog(family, params, ctx)
 
     records = []
     polys = {}
     for method in methods:
         t0 = time.perf_counter()
         branch = None
-        try:
-            if method == "rrdf":
-                z = zeta_enumerate(L, kind)
-            elif method == "oracle":
-                z = zeta_oracle(L, kind)
-            else:
-                sz = closed_form(family, params, kind, ctx)
-                branch = sz.guard
-                z = evaluate(sz, params, ctx)
-        except TooLarge as exc:
-            raise CliError(str(exc), EXIT_GUARD)
+        if method == "rrdf":
+            z = zeta_enumerate(L, kind)
+        elif method == "oracle":
+            z = zeta_oracle(L, kind)
+        else:
+            sz = closed_form(family, params, kind, ctx)
+            branch = sz.guard
+            z = evaluate(sz, params, ctx)
         polys[method] = z
         meta = {"seconds": round(time.perf_counter() - t0, 6)}
         if branch is not None:
@@ -223,12 +215,9 @@ def cmd_verify(args) -> int:
     for q in q_set:
         _field_for(q)
     _check_table(families, kinds)
-    try:  # every row runs the oracle: refuse out-of-range rows before any work
-        for family in families:
-            for q in q_set:
-                check_guard(FAMILIES[family][0], q)
-    except GuardExceeded as exc:
-        raise CliError(str(exc), EXIT_GUARD)
+    for family in families:  # every row runs the oracle: refuse before any work
+        for q in q_set:
+            check_guard(FAMILIES[family][0], q)
     try:
         threads = args.threads if args.threads else threads_from_env()
     except ValueError as exc:
@@ -417,6 +406,10 @@ def cmd_iso(args) -> int:
     for q in q_set:
         _field_for(q)
     _check_table(families, kinds)
+    work = analysis.iso_work(q_set, kinds, families)
+    if work > analysis.ISO_WORK_LIMIT:
+        raise CliError(f"iso guard: {work:.2g} instance pairs to compare, over "
+                       f"the limit of {analysis.ISO_WORK_LIMIT:.0e}", EXIT_GUARD)
     pairs = analysis.isospectral_scan(q_set, kinds, families)
     print(f"isospectral pairs over q in {q_set}, kinds {list(kinds)}: "
           f"{len(pairs)}")
@@ -534,6 +527,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (TooLarge, GuardExceeded, M9ParamReducible) as exc:  # work guards
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except UnknownBranch as exc:  # the branch table has no guard for a row
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

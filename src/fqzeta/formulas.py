@@ -9,25 +9,33 @@ coefficient vector for one concrete field.
 
 Each table line is parsed and checked (family, kind, guard atoms, parameter
 names, variety arity) once, when the table loads, into one SymbolicZeta with
-its guard split into atoms; closed_form() then only compares values.
+its guard split into atoms; closed_form() then only compares values.  The
+loaded table is also checked whole: in each (family, kind) block exactly one
+guard must hold at every parameter tuple over F_4 and over F_5.  Guards are
+conjunctions of the atoms a=0, a=1, b=0, a=b and a=-b, and these two fields
+meet every consistent combination of them (F_4 the eight of characteristic
+2, where a=b is a=-b; F_5 the ten of odd characteristic), so every parameter
+tuple of every field then has exactly one branch.
 
 A coefficient expression is read by Python's own parser (ast, mode "eval"),
 with ^ replaced by **.  The table grammar is the subset of nodes the walker
 accepts: +, - and *; ** with a literal int exponent; unary minus; int
 constants (not bool); the name q; and calls of a VARIETY_TAGS name with
 positional arguments, each a family parameter or its negation.  Any other
-node is refused with a BranchTableError that names it.
+node is refused with a BranchTableError that names it, and so is an exponent,
+or a product or power of degree in q, above n*n for a family of dimension n.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .gf import FieldCtx, count_roots
+from .gf import FieldCtx, count_roots, make_field
 from .liealg import FAMILIES
 from .zetapoly import ZetaPoly, _display
 
@@ -280,24 +288,37 @@ class _Sym:
         return _Sym(self.base * other.base, vs)
 
 
-def _parse_expr(node: ast.expr, names: tuple[str, ...]) -> _Sym:
+def _capped(sym: _Sym, dim: int) -> _Sym:
+    """sym, unless its degree in q is above dim * dim."""
+    deg = max(len(w.coeffs) for w in (sym.base, *sym.vs.values())) - 1
+    if deg > dim * dim:
+        raise BranchTableError(f"degree {deg} in q is above n*n = {dim * dim}")
+    return sym
+
+
+def _parse_expr(node: ast.expr, names: tuple[str, ...], dim: int) -> _Sym:
     """The value of one parsed coefficient expression; any node outside the
     table grammar is refused.  names: the family's parameters, which
-    variety arguments may use."""
+    variety arguments may use; dim: its dimension n.  Products and powers
+    are expanded, so every exponent and every product's degree in q must be
+    at most n*n."""
     match node:
-        case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() as op, right):
-            x, y = _parse_expr(left, names), _parse_expr(right, names)
-            if isinstance(op, ast.Mult):
-                return x * y
+        case ast.BinOp(left, ast.Add() | ast.Sub() as op, right):
+            x, y = _parse_expr(left, names, dim), _parse_expr(right, names, dim)
             return x + (-y if isinstance(op, ast.Sub) else y)
+        case ast.BinOp(left, ast.Mult(), right):
+            return _capped(_parse_expr(left, names, dim) * _parse_expr(right, names, dim),
+                           dim)
         case ast.BinOp(left, ast.Pow(), ast.Constant(n)) if type(n) is int:
-            x = _parse_expr(left, names)
+            if n > dim * dim:
+                raise BranchTableError(f"exponent {n} is above n*n = {dim * dim}")
+            x = _parse_expr(left, names, dim)
             out = _Sym(QPoly.const(1))
             for _ in range(n):
                 out = out * x
-            return out
+            return _capped(out, dim)
         case ast.UnaryOp(ast.USub(), operand):
-            return -_parse_expr(operand, names)
+            return -_parse_expr(operand, names, dim)
         case ast.Constant(c) if type(c) is int:
             return _Sym(QPoly.const(c))
         case ast.Name("q"):
@@ -363,11 +384,12 @@ def _parse_table(text: str) -> dict[tuple[str, str], list[SymbolicZeta]]:
                 raise BranchTableError(f"unknown family {family!r}")
             if kind not in _KINDS:
                 raise BranchTableError(f"unknown kind {kind!r}")
-            names = ("a", "b")[:FAMILIES[family][1]]
+            dim, arity = FAMILIES[family]
+            names = ("a", "b")[:arity]
             terms = []
             for e in body.split("|"):
                 tree = ast.parse(e.strip().replace("^", "**"), mode="eval")
-                sym = _parse_expr(tree.body, names)
+                sym = _parse_expr(tree.body, names, dim)
                 vs = tuple((w, tag, args) for (tag, args), w in sorted(sym.vs.items()))
                 terms.append(ZetaTerm(sym.base, vs))
             branch = SymbolicZeta(family, _KINDS[kind], guard, tuple(terms),
@@ -382,6 +404,11 @@ def _parse_table(text: str) -> dict[tuple[str, str], list[SymbolicZeta]]:
     return table
 
 
+# (p, k) of fields whose parameter tuples meet every consistent combination
+# of guard atoms, in both characteristics (see the module docstring).
+_COVER_FIELDS = ((2, 2), (5, 1))
+
+
 @lru_cache(maxsize=4)
 def _load_table(path: str | None) -> dict[tuple[str, str], list[SymbolicZeta]]:
     if path:
@@ -389,7 +416,19 @@ def _load_table(path: str | None) -> dict[tuple[str, str], list[SymbolicZeta]]:
             text = fh.read()
     else:
         text = (resources.files("fqzeta") / "tables" / "zeta_branches.txt").read_text()
-    return _parse_table(text)
+    table = _parse_table(text)
+    for p, k in _COVER_FIELDS:  # each block's guards partition the parameters
+        ctx = make_field(p, k)
+        for (family, kind), branches in table.items():
+            arity = FAMILIES[family][1]
+            for params in itertools.product(range(ctx.q), repeat=arity):
+                hits = sum(br.holds(params, ctx) for br in branches)
+                if hits != 1:
+                    raise BranchTableError(
+                        f"{hits or 'no'} branch{'es' if hits else ''} of "
+                        f"{family} / {kind} match{'' if hits else 'es'} params "
+                        f"{tuple(params)} over F_{ctx.q}")
+    return table
 
 
 def branch_table() -> dict[tuple[str, str], list[SymbolicZeta]]:

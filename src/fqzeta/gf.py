@@ -11,6 +11,15 @@ The extension modulus is always the lexicographically smallest monic
 irreducible polynomial of the right degree (coefficients compared low to
 high), which makes the encoding reproducible without external tables.
 
+A field with q <= TABLE_LIMIT = 256 also has dense lookup tables, built once
+per field by FieldCtx.tables(), the only place either enumerator gets them:
+read-only uint16 numpy arrays add, mul and sub, flat, with the value at
+(x, y) at index x*q + y, then neg, inv (inv[0] = 0) and the elements 0..q-1.
+uint16 is exact for both uses: every value is an element below 256, and every
+flat index x*q + y is at most 255*256 + 255 = 65535, so an index computed in
+uint16 from uint16 rows of elements never wraps.  The scalar add, neg and mul
+of extension fields read nested-list copies of the same tables.
+
 count_roots scans the whole field.  On a prime field it evaluates the
 polynomial in blocks of BLOCK consecutive elements, by Horner's rule on int64
 numpy vectors updated in place, reducing mod p only once every two steps; since
@@ -32,7 +41,7 @@ import numpy as np
 
 # Largest field order; count_roots relies on Q_LIMIT**3 < 2**63.
 Q_LIMIT = 1 << 20
-# Largest q for which dense add/mul lookup tables are built on demand.
+# Largest q with dense lookup tables (see the module docstring).
 TABLE_LIMIT = 256
 # Field elements per block of the prime-field root scan: 64 KiB int64 arrays.
 BLOCK = 1 << 13
@@ -98,9 +107,9 @@ class FieldCtx:
 
     # -- arithmetic ----------------------------------------------------
     #
-    # Extension fields with q <= TABLE_LIMIT read the tables of _lists; the
-    # digit routines serve larger extension fields and are the reference the
-    # tables are tested against.
+    # Extension fields with q <= TABLE_LIMIT read the list copies of the
+    # tables in _lists; the digit routines serve larger extension fields and
+    # are the reference the tables are tested against.
 
     def add(self, x: int, y: int) -> int:
         if self.k == 1:
@@ -157,11 +166,11 @@ class FieldCtx:
     # -- dense tables for vectorised consumers -------------------------
 
     @cached_property
-    def _lists(self):
-        """(ADD, MUL, NEG) as nested lists, built once; None for
-        q > TABLE_LIMIT.  MUL is read off the log/antilog tables of a
-        generator of F_q^* (q - 1 digit products); ADD and NEG come from one
-        numpy sum over the q x k matrix of base-p digits."""
+    def _tables(self):
+        """tables()'s arrays, built once; None for q > TABLE_LIMIT.  MUL and
+        INV are read off the log/antilog tables of a generator of F_q^*
+        (q - 1 digit products); ADD and NEG come from one numpy sum over the
+        q x k matrix of base-p digits, and SUB from ADD and NEG."""
         q, p = self.q, self.p
         if q > TABLE_LIMIT:
             return None
@@ -169,14 +178,18 @@ class FieldCtx:
         digits = np.array([self.digits(a) for a in range(q)])  # row a: digits of a
         add = ((digits[:, None, :] + digits[None, :, :]) % p * place).sum(axis=2)
         neg = ((p - digits) % p * place).sum(axis=1)
-        power = self._generator_powers()  # power[i] = g^i
-        log = [0] * q  # log[g^i] = i; log[0] is unused
-        for i, x in enumerate(power):
-            log[x] = i
-        log = np.array(log[1:])  # the logs of 1, ..., q - 1
+        power = np.array(self._generator_powers())  # power[i] = g^i
+        log = np.zeros(q, dtype=np.int64)  # log[g^i] = i; log[0] is unused
+        log[power] = np.arange(q - 1)
         mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = np.take(power, (log[:, None] + log[None, :]) % (q - 1))
-        return add.tolist(), mul.tolist(), neg.tolist()
+        mul[1:, 1:] = power[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = power[-log[1:] % (q - 1)]
+        out = tuple(t.astype(np.uint16).ravel() for t in (
+            add, mul, add[:, neg], neg, inv, np.arange(q)))
+        for t in out:
+            t.flags.writeable = False
+        return out
 
     def _generator_powers(self) -> list[int]:
         """[g^0, ..., g^(q-2)] for the least generator g of F_q^*, by the
@@ -192,18 +205,22 @@ class FieldCtx:
         raise AssertionError("F_q^* is cyclic")  # unreachable
 
     @cached_property
-    def _arrays(self):
-        """(ADD, MUL, NEG) as int16 arrays; None for q > TABLE_LIMIT."""
-        lists = self._lists
-        return None if lists is None else tuple(
-            np.array(t, dtype=np.int16) for t in lists)
+    def _lists(self):
+        """(ADD, MUL, NEG) of tables() as nested lists, for the scalar ops;
+        None for q > TABLE_LIMIT."""
+        if self._tables is None:
+            return None
+        q = self.q
+        add, mul, _, neg, _, _ = self._tables
+        return add.reshape(q, q).tolist(), mul.reshape(q, q).tolist(), neg.tolist()
 
     def tables(self):
-        """(ADD, MUL, NEG) lookup arrays; only available for q <= TABLE_LIMIT."""
-        arrays = self._arrays
-        if arrays is None:
+        """(ADD, MUL, SUB, NEG, INV, ELEMENTS), the field's lookup tables in
+        the format of the module docstring; TooLarge for q > TABLE_LIMIT."""
+        tables = self._tables
+        if tables is None:
             raise TooLarge(f"no dense tables for q={self.q} > {TABLE_LIMIT}")
-        return arrays
+        return tables
 
 
 # -- field construction -----------------------------------------------

@@ -20,9 +20,9 @@ parent rows too, as r0 + r1*x + r2*x^2, and only x*(r1 + r2*x) == -r0 is
 evaluated on the grid.  A level without tests expands every row by all q
 values.  Every candidate is tested; nothing is solved for x.  A test that
 reads no free entry is one field constant, decided with ctx.add before the
-scan starts.  Rows are int16 and field arithmetic is a flat gather,
-table.take(a*q + b), on tables built once per field; a*q + b stays below 256
-because q <= MAX_Q = 16.
+scan starts.  Rows are uint16 and field arithmetic is a flat gather,
+table.take(a*q + b), on the tables of FieldCtx.tables() in the format the gf
+module states, fetched once per _count_cell_vector call.
 
 The tests depend on the algebra only through its structure constants.  A
 template built once per (pivots, n, kind), on first use, and cached for the
@@ -137,18 +137,6 @@ def _template(pivots: tuple[int, ...], n: int, kind: str):
     return len(free), len(pairs), tuple(tuple(f) for f in feeds), candidates
 
 
-@lru_cache(maxsize=16)
-def _gathers(ctx):
-    """(flat add, flat mul, flat sub, digits) of one field, built once per
-    field; int16, since a*q + b <= 255 because q <= MAX_Q."""
-    add_t, mul_t, neg_t = ctx.tables()
-    out = (add_t.ravel(), mul_t.ravel(), add_t[:, neg_t].ravel(),
-           np.arange(ctx.q, dtype=np.int16))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=1)  # the cells of one algebra are counted in a row
 def _nonzero(L: LieAlgebra):
     """(u*n + v, d, s) for each nonzero structure constant s = sc[u][v][d]
@@ -206,9 +194,9 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
 
     order = sorted(used)
     col_of = {v: i for i, v in enumerate(order)}
-    add_f, mul_f, sub_f, digits = _gathers(L.ctx)
-    grid_x = digits[:, None]  # the new variable on the x-major (q, size) grid
-    cols: list[np.ndarray] = []  # int16 values of the bound variables
+    add_f, mul_f, sub_f, _, _, elements = L.ctx.tables()
+    grid_x = elements[:, None]  # the new variable on the x-major (q, size) grid
+    cols: list[np.ndarray] = []  # values of the bound variables
     size = 1
 
     # field operations on the parent rows or the grid; None is a sum
@@ -245,7 +233,7 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
         group = tests.get(level)
         if group is None:  # nothing to test: every row takes all q values
             cols = [np.tile(col, q) for col in cols]
-            cols.append(np.repeat(digits, size))
+            cols.append(np.repeat(elements, size))
             size *= q
             continue
         ok = True  # the level's tests on the (q, size) candidate grid
@@ -274,7 +262,7 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
             return 0
         xs, parent = np.divmod(keep, size)
         cols = [col.take(parent) for col in cols]
-        cols.append(digits.take(xs))
+        cols.append(elements.take(xs))
         size = len(keep)
     return size * q ** (m - len(order))
 

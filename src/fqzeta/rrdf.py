@@ -25,9 +25,9 @@ then merges the monomials, drops zero ones and orders the conditions.
 cell_count scans the cell level by level: it binds one free entry x at a
 time, in row-major order, and rather than giving x all q values it solves
 for x one of the conditions whose highest entry x is.  Such a condition reads
-x with degree at most 2, as A + B x + C x^2 with A, B and C read from the
-entries already bound, so each row gets its solutions at once: x = -A/B, the
-roots of the monic x^2 + (B/C) x + A/C from a table of root counts and roots
+x with degree at most 2, as C x^2 + B x = A with A, B and C read from the
+entries already bound, so each row gets its solutions at once: x = A/B, the
+roots of the monic x^2 + (B/C) x = A/C from a table of root counts and roots
 built once per field, or every value where A = B = C = 0.  The level's other
 conditions then filter the rows.  An entry that is the highest entry of no
 condition takes every value; entries no condition reads are never bound, and
@@ -36,9 +36,10 @@ things: its solutions as (parent row, value) picks, and the parent rows on
 which every value solves.  One loop cuts these into batches of at most CHUNK
 rows, slicing the picks and repeating CHUNK // q every-value parents at a
 time by all q values; each batch is filtered and scanned depth-first before
-the next is made, so no level's expansion is held whole.  Field arithmetic
-is a flat gather, table.take(a*q + b), on int32 tables built once per
-field, since a*q + b reaches 65535 at q = 256.
+the next is made, so no level's expansion is held whole.  Rows are uint16
+and field arithmetic is a flat gather, table.take(a*q + b), on the tables of
+FieldCtx.tables() in the format the gf module states, fetched once per
+cell_count call.
 is_ideal / is_subalgebra do the same test by direct matrix arithmetic for a
 single matrix.  Both paths are cross-checked in the test suite.
 """
@@ -253,8 +254,8 @@ def is_subalgebra(M: RrdfMatrix, L: LieAlgebra) -> bool:
 # How a level binds its variable x; A, B and C read only earlier variables.
 FREE = 0       # no condition: x takes every value
 DIRECT = 1     # x = A, the solved condition with a constant x coefficient
-LINEAR = 2     # B x + A = 0
-QUADRATIC = 3  # C x^2 + B x + A = 0, with A and B stored negated
+LINEAR = 2     # B x = A
+QUADRATIC = 3  # C x^2 + B x = A
 
 
 @lru_cache(maxsize=None)  # keyed by shape only: at most 2 * 2^n entries per n
@@ -309,9 +310,10 @@ def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
     levels holds one (var, how, A, B, C, filters) per variable any condition
     reads, in row-major order.  At a level with conditions, the one of least
     degree in var is solved for it: one whose x coefficient is a nonzero
-    constant first, then the one with fewest monomials.  A, B and C are the
-    monomial lists of its parts of degree 0, 1 and 2 in var, which read only
-    earlier variables; how says how they are stored (see FREE..QUADRATIC).
+    constant first, then the one with fewest monomials.  A is the monomial
+    list of minus its part of degree 0 in var, B and C those of its parts of
+    degree 1 and 2, all reading only earlier variables; how says how they
+    are stored (see FREE..QUADRATIC).
     filters are the level's other conditions, low degree, then short, first.
     levels is None when a nonzero constant condition kills the whole cell.
     """
@@ -365,11 +367,9 @@ def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
                 best = (rank, cond, a, b, c)
         _, chosen, a, b, c = best
         filters = [cond[2] for cond in conds if cond is not chosen]
-        if c:
-            levels.append((var, QUADRATIC, [(neg(k), key) for k, key in a],
-                           [(neg(k), key) for k, key in b], c, filters))
-        elif len(b) > 1 or b[0][1]:
-            levels.append((var, LINEAR, a, b, None, filters))
+        if c or len(b) > 1 or b[0][1]:
+            levels.append((var, QUADRATIC if c else LINEAR,
+                           [(neg(k), key) for k, key in a], b, c or None, filters))
         else:
             s = neg(ctx.inv(b[0][0]))
             levels.append((var, DIRECT, [(mul(s, k), key) for k, key in a],
@@ -378,47 +378,30 @@ def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
 
 
 @lru_cache(maxsize=16)
-def _gathers(ctx: FieldCtx):
-    """(add rows, mul rows, flat add, flat mul, digits) of one field, built
-    once per field; int32, since a*q + b reaches 65535 at q = 256."""
-    add_t, mul_t, _ = ctx.tables()
-    add_rows = add_t.astype(np.int32)
-    mul_rows = mul_t.astype(np.int32)
-    out = (add_rows, mul_rows, add_rows.ravel(), mul_rows.ravel(),
-           np.arange(ctx.q, dtype=np.int16))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=16)
 def _roots(ctx: FieldCtx):
-    """(neginv, count, r1, r2) of one field, built once per field.
+    """(count, r1, r2) of one field, built once per field.
 
-    neginv[a] = -1/a (0 at a = 0).  At index b*q + c, count is the number of
-    roots of the monic x^2 + b x + c in F_q and r1 <= r2 are those roots
-    (r1 = r2 for a double root; both 0 when there is none).  Every x is the
-    root of exactly one monic quadratic per b, the one with c = -(x^2 + b x),
-    so one pass over (b, x) fills the tables in every characteristic.
+    At index s*q + t, count is the number of roots of x^2 + s x = t in F_q
+    and r1 <= r2 are those roots (r1 = r2 for a double root; both 0 when
+    there is none).  Every x solves exactly one such equation per s, the one
+    with t = x^2 + s x, so one pass over (s, x) fills the tables in every
+    characteristic.
     """
-    add_t, mul_t, neg_t = ctx.tables()
+    add, mul, _, _, _, x = ctx.tables()
     q = ctx.q
-    x = np.arange(q)
-    inv = np.argmax(mul_t == 1, axis=1)  # row 0 has no 1: argmax gives 0
-    neginv = neg_t[inv].astype(np.int32)
-    # at[b, x]: the index b*q + c of the quadratic x is a root of
-    at = (x[:, None] * q + neg_t[add_t[mul_t[x, x][None, :], mul_t]]).ravel()
-    count = np.bincount(at, minlength=q * q).astype(np.int8)
+    # at[s*q + x]: the index s*q + t of the equation x solves
+    at = (x[:, None] * q + add.take(mul[x * q + x] * q + mul.reshape(q, q))).ravel()
+    count = np.zeros(q * q, dtype=np.uint8)
+    np.add.at(count, at, 1)
     xs = np.tile(x, q)
-    r1 = np.full(q * q, q)
-    r2 = np.zeros(q * q, dtype=np.int64)
+    r1 = np.full(q * q, q, dtype=np.uint16)
+    r2 = np.zeros(q * q, dtype=np.uint16)
     np.minimum.at(r1, at, xs)
     np.maximum.at(r2, at, xs)
     r1[count == 0] = 0
-    out = (neginv, count, r1.astype(np.int16), r2.astype(np.int16))
-    for a in out:
+    for a in (count, r1, r2):
         a.flags.writeable = False
-    return out
+    return count, r1, r2
 
 
 def cell_count_scalar(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
@@ -443,27 +426,28 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
     if not levels:  # no condition reads a free entry
         return q**m
     # bind only the variables some condition reads, in row-major order
-    add_rows, mul_rows, add_f, mul_f, digits = _gathers(L.ctx)
-    neginv, n_roots, root1, root2 = _roots(L.ctx)
+    add, mul, _, _, inv, elements = L.ctx.tables()
+    n_roots, root1, root2 = _roots(L.ctx)
     end = len(levels)
     step = max(1, CHUNK // q)  # rows that take every value, per batch
     nothing = np.zeros(0, dtype=np.intp)
 
     def value(monos, cols, rows):
-        # the int32 values of a monomial list on the rows
+        # the values of a monomial list on the rows; mul[c*q:c*q + q] is
+        # the row of products c*y
         acc = None
         const = 0
         for c, vars_ in monos:
             if not vars_:
                 const = c
                 continue
-            term = mul_rows[c].take(cols[vars_[0]])
+            term = mul[c * q:c * q + q].take(cols[vars_[0]])
             for t in vars_[1:]:
-                term = mul_f.take(term * q + cols[t])
-            acc = term if acc is None else add_f.take(acc * q + term)
+                term = mul.take(term * q + cols[t])
+            acc = term if acc is None else add.take(acc * q + term)
         if acc is None:
-            return np.full(rows, const, dtype=np.int32)
-        return add_rows[const].take(acc) if const else acc
+            return np.full(rows, const, dtype=np.uint16)
+        return add[const * q:const * q + q].take(acc) if const else acc
 
     def solve(how, A, B, C, cols, rows):
         # (src, x, every): the level's solutions on the rows, as parent rows
@@ -476,11 +460,11 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
             return np.arange(rows), a, nothing
         b = value(B, cols, rows)
         src, x = [], []
-        lin = np.arange(rows)  # the rows solved as B x + A = 0
+        lin = np.arange(rows)  # the rows solved as B x = A
         if how == QUADRATIC:
             c = value(C, cols, rows)
-            scale = neginv.take(c)
-            at = mul_f.take(b * q + scale) * q + mul_f.take(a * q + scale)
+            scale = inv.take(c)
+            at = mul.take(b * q + scale) * q + mul.take(a * q + scale)
             count = n_roots.take(at)
             lin = (c == 0).nonzero()[0]
             count[lin] = 0
@@ -493,7 +477,7 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         # one root where B != 0, every value where A = B = 0
         nz = b.nonzero()[0]
         src.append(lin.take(nz))
-        x.append(mul_f.take(a.take(nz) * q + neginv.take(b.take(nz))))
+        x.append(mul.take(a.take(nz) * q + inv.take(b.take(nz))))
         return (np.concatenate(src), np.concatenate(x),
                 lin.take(((a | b) == 0).nonzero()[0]))
 
@@ -503,10 +487,10 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
             yield src[start:start + CHUNK], x[start:start + CHUNK]
         for start in range(0, len(every), step):
             part = every[start:start + step]
-            yield np.repeat(part, q), np.tile(digits, len(part))
+            yield np.repeat(part, q), np.tile(elements, len(part))
 
     def scan(cols, rows, depth):
-        # cols[t]: the int16 column of variable t, for every variable bound
+        # cols[t]: the column of values of variable t, for every variable bound
         # before level depth; count the extensions passing every condition
         if depth == end:
             return rows
@@ -514,7 +498,7 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         total = 0
         for src, x in batches(*solve(how, A, B, C, cols, rows)):
             child = {t: col.take(src) for t, col in cols.items()}
-            child[var] = x.astype(np.int16, copy=False)
+            child[var] = x
             size = len(src)
             del src  # not held while the batch is scanned
             for monos in filters:

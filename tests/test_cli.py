@@ -175,14 +175,17 @@ def test_missing_branch_block_refused_up_front(argv, tmp_path, monkeypatch,
     ["zeta", "L3(a=0)", "--q", "3", "--method", "formula"],
 ])
 def test_uncovered_parameters_exit_2(argv, tmp_path, monkeypatch, capsys):
-    # a block whose guards miss a parameter value is a table error, not an
-    # internal one, though it shows only once that row is reached
+    # a block whose guards miss a parameter value is a table error, refused
+    # when the table loads, before any row runs
     monkeypatch.setenv("FQZETA_BRANCH_TABLE", _table_with(
         tmp_path, "L3 ideal a=0  : 1 | 1+q | 2 | 1\n", ""))
-    code, _, err = run(capsys, *argv)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE
-    assert err.count("\n") == 1
-    assert err.startswith("error: no branch of L3 / ideal matches params (0,)")
+    assert err.count("\n") == 1 and not out
+    assert err.startswith("error: bad branch table: "
+                          "no branch of L3 / ideal matches params (0,)")
+    assert time.perf_counter() - t0 < 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,6 +383,36 @@ def test_iso_cli(capsys):
                        "--families", "L11,L21,L22,L1,L2,L3,L4")
     assert code == EXIT_OK
     assert "L21" in out and "L22" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q-set", "101"],
+    ["--q-set", "1031"],
+    ["--q-set", "41"],
+    ["--q-set", "61", "--families", "M6"],
+    ["--q-set", "2,3,1031", "--kinds", "sub", "--families", "M7"],
+])
+def test_iso_work_guard_exit_3(argv, capsys):
+    # the scan would compare more instance pairs than ISO_WORK_LIMIT: refused
+    # from the estimate alone, before any instance is evaluated
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "iso", *argv)
+    assert code == EXIT_GUARD
+    assert err.count("\n") == 1 and err.startswith("error: iso guard: ") and not out
+    assert time.perf_counter() - t0 < 2
+
+
+def test_iso_work_estimate():
+    fams = list(analysis.FAMILIES)
+    both = ("subalgebra", "ideal")
+    # the benchmark's isospectral grid stays well inside the limit
+    grid = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+    assert analysis.iso_work(grid, both, fams) == 1_983_676
+    assert analysis.iso_work((37,), both, fams) <= analysis.ISO_WORK_LIMIT
+    assert analysis.iso_work((41,), both, fams) > analysis.ISO_WORK_LIMIT
+    assert analysis.iso_work((101,), both, fams) == 441_777_342
+    # C(n_q, 2) per kind: 3 instances of L22, L3(0), L3(1) over F_2
+    assert analysis.iso_work((2,), ("ideal",), ["L22", "L3"]) == 3
 
 
 @pytest.mark.parametrize("cmd", ["verify", "iso", "period"])

@@ -1,10 +1,12 @@
 import itertools
 import re
+import time
+from importlib import resources
 
 import pytest
 
-from fqzeta.formulas import (BranchTableError, QPoly, UnknownBranch,
-                             VarietyId, _parse_table,
+from fqzeta.formulas import (_COVER_FIELDS, BranchTableError, QPoly,
+                             UnknownBranch, VarietyId, _parse_table,
                              branch_table, closed_form, evaluate,
                              gaussian_binomial, realized_q_polynomial,
                              extra_variety_identities,
@@ -248,6 +250,83 @@ def test_table_loader_checks_each_line_once(line, message):
     text = "version 1\nL22 ideal any : 1 | 1 | 1\n" + line + "\n"
     with pytest.raises(BranchTableError, match=f"line 3: .*{re.escape(message)}"):
         _parse_table(text)
+
+
+def test_exponent_bounded_by_the_dimension_squared():
+    # a power is expanded by repeated products: a huge exponent is refused
+    # before any product, naming the line
+    t0 = time.perf_counter()
+    with pytest.raises(BranchTableError,
+                       match=r"line 2: exponent 400000 is above n\*n = 16"):
+        _parse_table("version 1\nM6 sub any : 1 | q^400000 | 1 | 1 | 1\n")
+    assert time.perf_counter() - t0 < 0.01
+    table = _parse_table("version 1\nM6 sub any : 1 | q^16 | 1 | 1 | 1\n")
+    assert table["M6", "subalgebra"][0].terms[1].base.coeffs == (0,) * 16 + (1,)
+    with pytest.raises(BranchTableError, match="line 2: exponent 5 is above n"):
+        _parse_table("version 1\nL22 ideal any : 1 | (1+q)^5 | 1\n")
+    # each exponent passes, but the expanded degrees would reach 4096
+    t0 = time.perf_counter()
+    for expr in ["(((1+q)^16)^16)^16", "*".join(["(1+q)^16"] * 500)]:
+        with pytest.raises(BranchTableError,
+                           match=r"line 2: degree \d+ in q is above n\*n = 16"):
+            _parse_table(f"version 1\nM6 sub any : 1 | {expr} | 1 | 1 | 1\n")
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _packaged_with(tmp_path, old, new):
+    packaged = (resources.files("fqzeta") / "tables" /
+                "zeta_branches.txt").read_text()
+    assert old in packaged
+    alt = tmp_path / "alt.txt"
+    alt.write_text(packaged.replace(old, new))
+    return str(alt)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("L3 ideal a=0  : 1 | 1+q | 2 | 1\n", "",
+     "no branch of L3 / ideal matches params (0,) over F_4"),
+    ("L3 ideal a=0  : 1 | 1+q | 2 | 1", "L3 ideal any  : 1 | 1+q | 2 | 1",
+     "2 branches of L3 / ideal match params (1,) over F_4"),
+    ("M14 ideal a=0  : 1 | 1+q | 1 | 1 | 1\n", "",
+     "no branch of M14 / ideal matches params (0,) over F_4"),
+])
+def test_table_load_checks_guard_coverage(old, new, message, tmp_path,
+                                          monkeypatch):
+    # each line parses, but the block's guards do not partition the
+    # parameters: refused when the table loads, not when a row reaches it
+    path = _packaged_with(tmp_path, old, new)
+    with open(path, encoding="utf-8") as fh:
+        _parse_table(fh.read())
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", path)
+    with pytest.raises(BranchTableError, match=re.escape(message)):
+        branch_table()
+
+
+def _atom_patterns(arity, ctx):
+    # which of a=0, a=1, b=0, a=b, a=-b each parameter tuple meets
+    out = set()
+    for params in itertools.product(range(ctx.q), repeat=arity):
+        a, b = params + (None,) * (2 - arity)
+        atoms = () if a is None else (a == 0, a == 1)
+        if b is not None:
+            atoms += (b == 0, a == b, ctx.add(a, b) == 0)
+        out.add(atoms)
+    return out
+
+
+@pytest.mark.parametrize("arity, sizes", [(0, (1, 1)), (1, (3, 3)), (2, (8, 10))])
+def test_cover_fields_meet_every_atom_pattern(arity, sizes):
+    # the load-time coverage check runs over _COVER_FIELDS only: no other
+    # field of either characteristic meets a combination of guard atoms that
+    # they miss.  There are 8 combinations of two parameters in
+    # characteristic 2, where a=b is a=-b, and 10 in odd characteristic
+    seen = {0: set(), 1: set()}  # characteristic 2, odd
+    for p, k in _COVER_FIELDS:
+        seen[p % 2] |= _atom_patterns(arity, make_field(p, k))
+    assert (len(seen[0]), len(seen[1])) == sizes
+    for q in (2, 3, 7, 8, 9, 11, 13, 16, 25, 27, 32):
+        ctx = field_of(q)
+        assert _atom_patterns(arity, ctx) <= seen[ctx.p % 2], q
 
 
 def test_env_override_table(tmp_path, monkeypatch):

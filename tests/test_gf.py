@@ -1,7 +1,9 @@
 import itertools
 import random
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fqzeta.gf import (BLOCK, Q_LIMIT, TABLE_LIMIT, DegreeZero,
@@ -124,6 +126,33 @@ def test_table_scalars_match_digit_routines():
             x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
             assert ctx.add(x, y) == ctx._add_digits(x, y)
             assert ctx.mul(x, y) == ctx._mul_digits(x, y)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (251, 1), (2, 1), (3, 2), (13, 1)])
+def test_tables_exact_at_the_top_of_the_flat_index(p, k):
+    # the largest fields with tables, where the flat index x*q + y reaches
+    # 65535 (q = 256) or 63000 (q = 251), and a few small ones: every entry
+    # equals the scalar op
+    t0 = time.perf_counter()
+    ctx = make_field(p, k)
+    q = ctx.q
+    tables = ctx.tables()
+    assert ctx.tables() is tables  # built once per field
+    add, mul, sub, neg, inv, elements = tables
+    for t in tables:
+        assert t.dtype == np.uint16 and not t.flags.writeable
+    assert elements.tolist() == list(range(q))
+    assert neg.tolist() == [ctx.neg(x) for x in range(q)]
+    assert inv.tolist() == [0] + [ctx.inv(x) for x in range(1, q)]
+    pairs = [(x, y) for x in range(q) for y in range(q)]
+    assert add.tolist() == [ctx.add(x, y) for x, y in pairs]
+    assert mul.tolist() == [ctx.mul(x, y) for x, y in pairs]
+    assert sub.tolist() == [ctx.sub(x, y) for x, y in pairs]
+    # the last row and column, against the digit routines
+    for x, y in pairs[-q:] + pairs[q - 1::q]:
+        assert add[x * q + y] == ctx._add_digits(x, y)
+        assert mul[x * q + y] == ctx._mul_digits(x, y)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_fermat_lagrange():
