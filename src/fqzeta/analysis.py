@@ -23,7 +23,7 @@ from math import comb, isqrt
 
 from .gf import NotPrime, count_roots, is_prime, make_field
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
-from .oracle import zeta_oracle
+from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
 from .formulas import closed_form, evaluate, realized_q_polynomial, variety_poly_int
 
@@ -88,6 +88,7 @@ class VerifyRow:
 @dataclass
 class VerifyReport:
     rows: list[VerifyRow] = field(default_factory=list)
+    workers: int = 1  # processes that ran the rows; 1 is in-process
 
     def counts(self) -> dict[str, int]:
         out = {"PASS": 0, "FAIL": 0, "ANOMALY": 0}
@@ -138,7 +139,8 @@ def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
 
 
 def campaign_items(families, q_set, kinds):
-    """Deterministic work list: full parameter grids per family and q."""
+    """Deterministic work list: full parameter grids per family and q.  Every
+    row runs the oracle, so a grid outside its guard raises GuardExceeded."""
     items = []
     for q in sorted(q_set):
         p, k = factor_prime_power(q)
@@ -146,6 +148,7 @@ def campaign_items(families, q_set, kinds):
         for family in families:
             if family not in FAMILIES:
                 raise KeyError(f"unknown family {family!r}")
+            check_guard(FAMILIES[family][0], q)
             for params in valid_params(family, ctx):
                 for kind in kinds:
                     items.append((family, tuple(params), q, kind))
@@ -160,14 +163,14 @@ def verify_campaign(families=None, q_set=(2, 3, 5), kinds=("subalgebra", "ideal"
     items = campaign_items(families, q_set, kinds)
     threads = threads if threads is not None else threads_from_env()
     # the pool starts every worker at once: no more than chunks or cores
-    workers = min(threads, -(-len(items) // 16), os.cpu_count() or 1)
+    workers = max(1, min(threads, -(-len(items) // 16), os.cpu_count() or 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_verify_item, items, chunksize=16))
     else:
         rows = [_verify_item(it) for it in items]
     rows.sort(key=lambda r: (r.family, r.params, r.q, r.kind))
-    return VerifyReport(rows=rows)
+    return VerifyReport(rows=rows, workers=workers)
 
 
 # -- residue-class profiling ----------------------------------------------
@@ -400,8 +403,9 @@ def period_parity(family: str, q_set, int_tuples=None):
 
 # -- isospectral pairs -------------------------------------------------------
 
-# Largest iso_work the CLI runs.  At the limit, all families and both kinds
-# admit q <= 37 (8.8e6); q = 41 (1.3e7), and M6 alone past q = 53, are refused.
+# Largest iso_work isospectral_scan runs.  At the limit, all families and both
+# kinds admit q <= 37 (8.8e6); q = 41 (1.3e7), and M6 alone past q = 53, are
+# refused.
 ISO_WORK_LIMIT = 10**7
 
 
@@ -429,9 +433,14 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
     Polynomials come from the closed forms (the campaign separately proves
     those equal to both enumeration routes), so full grids stay cheap.
     Pairs come ordered by (q, kind, left, right), an instance ordering by
-    (family's catalog position, params).
+    (family's catalog position, params).  A grid whose iso_work is above
+    ISO_WORK_LIMIT raises GuardExceeded before any instance is evaluated.
     """
     families = list(families) if families else list(FAMILIES)
+    work = iso_work(q_set, kinds, families)
+    if work > ISO_WORK_LIMIT:
+        raise GuardExceeded(f"iso guard: {work:.2g} instance pairs to compare, "
+                            f"over the limit of {ISO_WORK_LIMIT:.0e}")
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
     pairs: list[IsoPair] = []
     for q in sorted(q_set):

@@ -10,12 +10,13 @@ coefficient vector for one concrete field.
 Each table line is parsed and checked (family, kind, guard atoms, parameter
 names, variety arity) once, when the table loads, into one SymbolicZeta with
 its guard split into atoms; closed_form() then only compares values.  The
-loaded table is also checked whole: in each (family, kind) block exactly one
-guard must hold at every parameter tuple over F_4 and over F_5.  Guards are
-conjunctions of the atoms a=0, a=1, b=0, a=b and a=-b, and these two fields
-meet every consistent combination of them (F_4 the eight of characteristic
-2, where a=b is a=-b; F_5 the ten of odd characteristic), so every parameter
-tuple of every field then has exactly one branch.
+loaded table is also checked whole: it must hold a block for every catalog
+family and both kinds, and in each block exactly one guard must hold at every
+parameter tuple over F_4 and over F_5.  Guards are conjunctions of the atoms
+a=0, a=1, b=0, a=b and a=-b, and these two fields meet every consistent
+combination of them (F_4 the eight of characteristic 2, where a=b is a=-b;
+F_5 the ten of odd characteristic), so every parameter tuple of every field
+then has exactly one branch.
 
 A coefficient expression is read by Python's own parser (ast, mode "eval"),
 with ^ replaced by **.  The table grammar is the subset of nodes the walker
@@ -417,6 +418,9 @@ def _load_table(path: str | None) -> dict[tuple[str, str], list[SymbolicZeta]]:
     else:
         text = (resources.files("fqzeta") / "tables" / "zeta_branches.txt").read_text()
     table = _parse_table(text)
+    for family, kind in itertools.product(FAMILIES, _KINDS.values()):
+        if (family, kind) not in table:
+            raise BranchTableError(f"no closed form for {family} / {kind}")
     for p, k in _COVER_FIELDS:  # each block's guards partition the parameters
         ctx = make_field(p, k)
         for (family, kind), branches in table.items():

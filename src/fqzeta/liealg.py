@@ -242,7 +242,7 @@ def parse_algebra_spec(text: str) -> tuple[str, dict[str, int]]:
     if inner:
         for part in inner.split(","):
             kv = _KV_RE.match(part.strip())
-            if not kv:
+            if not kv or kv.group(1) in kwargs:
                 raise BadCatalogId(f"bad parameter {part.strip()!r} in {text!r}")
             kwargs[kv.group(1)] = int(kv.group(2))
     arity = FAMILIES[family][1]

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from fqzeta import analysis as an
 from fqzeta.gf import NotPrime
 from fqzeta.liealg import FAMILIES
+from fqzeta.oracle import GuardExceeded
 
 
 def test_factor_prime_power():
@@ -100,6 +103,16 @@ def test_campaign_pool_no_larger_than_chunks_or_cores(monkeypatch):
     serial = an.verify_campaign(families, q_set, threads=10_000)
     assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in rep.rows]
     assert sizes == [2]  # one core: serial, no pool
+
+
+def test_campaign_refuses_out_of_range_q_before_any_row(monkeypatch):
+    # q = 17 is past the oracle guard: the in-range q = 13 rows do not run
+    calls = []
+    monkeypatch.setattr(an, "_verify_item", lambda item: calls.append(item))
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="oracle guard"):
+        an.verify_campaign(q_set=(13, 17), threads=1)
+    assert calls == [] and time.perf_counter() - t0 < 1
 
 
 def test_cornacchia_examples():
@@ -218,3 +231,12 @@ def test_isospectral_pairs_come_out_sorted():
     assert pairs == sorted(pairs, key=lambda pr: (
         pr.q, pr.kind, fam_order[pr.left[0]], pr.left[1],
         fam_order[pr.right[0]], pr.right[1]))
+
+
+def test_isospectral_scan_refuses_over_the_work_limit():
+    # q = 41 over every family compares 1.3e7 pairs: refused from the grid
+    # alone, before any instance is evaluated
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="^iso guard: "):
+        an.isospectral_scan((41,))
+    assert time.perf_counter() - t0 < 1

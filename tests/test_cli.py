@@ -67,6 +67,13 @@ def test_zeta_parse_error_exit_2(capsys):
     assert code == EXIT_PARSE
 
 
+def test_zeta_repeated_spec_parameter_exit_2(capsys):
+    code, out, err = run(capsys, "zeta", "M6(a=2,a=3,b=1)", "--q", "5")
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and err.startswith("error: bad parameter")
+    assert not out
+
+
 def test_zeta_guard_violations_exit_3(capsys):
     code, _, err = run(capsys, "zeta", "M9(a=1)", "--q", "5")
     assert code == EXIT_GUARD and "M9" in err
@@ -236,6 +243,16 @@ def test_verify_small_ok(tmp_path, capsys):
     assert all(r["coeffs"] == r["formula_coeffs"] for r in rows)
 
 
+def test_verify_reports_the_workers_it_used(tmp_path, capsys):
+    # 2 rows are one chunk: serial, though 64 were asked for
+    out_path = tmp_path / "report.jsonl"
+    code, out, _ = run(capsys, "verify", "--families", "L22", "--q-set", "2",
+                       "--threads", "64", "--out", str(out_path))
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith(" workers=1")
+    assert jsonl(out_path.read_text())[-1]["workers"] == 1
+
+
 def test_verify_bad_threads_env_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("FQZETA_THREADS", "abc")
     code, _, err = run(capsys, "verify", "--q-set", "2")
@@ -368,6 +385,18 @@ def test_parse_int_poly():
     assert parse_int_poly("5") == [5]
     with pytest.raises(Exception):
         parse_int_poly("x^")
+
+
+@pytest.mark.parametrize("poly", ["2 3", "x2", "x x", "x^2 x"])
+def test_porc_terms_need_an_operator_exit_2(poly, capsys):
+    code, out, err = run(capsys, "porc", "--poly", poly, "--pmax", "50")
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and err.startswith("error: ") and not out
+
+
+def test_parse_int_poly_spaced_terms():
+    assert parse_int_poly("x^2 - 1") == [-1, 0, 1]
+    assert parse_int_poly("2 x^3 + 1") == [1, 0, 0, 2]
 
 
 def test_catalog_lists_19_families(capsys):

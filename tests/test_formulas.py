@@ -302,6 +302,14 @@ def test_table_load_checks_guard_coverage(old, new, message, tmp_path,
         branch_table()
 
 
+def test_table_load_refuses_a_missing_block(tmp_path, monkeypatch):
+    # the table records every family and kind, whatever a caller asks for
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", _packaged_with(
+        tmp_path, "L22 ideal any : 1 | 1 | 1\nL22 sub   any : 1 | 1+q | 1\n", ""))
+    with pytest.raises(BranchTableError, match="^no closed form for L22 / "):
+        branch_table()
+
+
 def _atom_patterns(arity, ctx):
     # which of a=0, a=1, b=0, a=b, a=-b each parameter tuple meets
     out = set()
@@ -330,9 +338,8 @@ def test_cover_fields_meet_every_atom_pattern(arity, sizes):
 
 
 def test_env_override_table(tmp_path, monkeypatch):
-    alt = tmp_path / "alt.txt"
-    alt.write_text("version 1\nL22 ideal any : 1 | 5 | 1\n")
-    monkeypatch.setenv("FQZETA_BRANCH_TABLE", str(alt))
+    monkeypatch.setenv("FQZETA_BRANCH_TABLE", _packaged_with(
+        tmp_path, "L22 ideal any : 1 | 1 | 1", "L22 ideal any : 1 | 5 | 1"))
     ctx = make_field(3, 1)
     assert zeta_formula("L22", (), "ideal", ctx).coeffs == (1, 5, 1)
     monkeypatch.delenv("FQZETA_BRANCH_TABLE")

@@ -244,6 +244,12 @@ def test_parse_algebra_spec():
         parse_algebra_spec("M8(a=1)")
 
 
+def test_parse_algebra_spec_refuses_a_repeated_name():
+    # not read as its last value, M6(a=3,b=1)
+    with pytest.raises(BadCatalogId, match="'a=3'"):
+        parse_algebra_spec("M6(a=2,a=3,b=1)")
+
+
 def test_catalog_from_spec_embeds_literals():
     ctx = make_field(5, 1)
     L = catalog_from_spec("L3(a=7)", ctx)

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from importlib import resources
 
 import pytest
@@ -8,7 +9,8 @@ from test_rrdf import dense_conjugates
 
 from fqzeta.formulas import closed_form, evaluate, gaussian_binomial
 from fqzeta.gf import make_field
-from fqzeta.liealg import FAMILIES, catalog, from_structure_constants, valid_params
+from fqzeta.liealg import (FAMILIES, JacobiViolation, catalog,
+                           from_structure_constants, is_solvable, valid_params)
 from fqzeta.oracle import (MAX_Q, GuardExceeded, _count_cell_scalar,
                            _count_cell_vector, zeta_oracle)
 from fqzeta.rrdf import zeta_enumerate
@@ -142,6 +144,37 @@ def test_five_dimensional_direct_sums():
             assert zs["ideal"] <= zs["subalgebra"]
             # every line is a subalgebra
             assert zs["subalgebra"].coeffs[4] == gaussian_binomial(5, 1, q)
+
+
+def test_random_three_dimensional_algebras_solvable_or_not():
+    # seeded random brackets on F_q^3; those that satisfy Jacobi include
+    # non-solvable algebras, which the catalog lacks
+    rng = random.Random(14)
+    solvable = set()
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        ctx = make_field(p, k)
+        q = ctx.q
+        for _ in range(350):
+            sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+            for i, j in itertools.combinations(range(3), 2):
+                for t in range(3):
+                    c = rng.randrange(q)
+                    sc[i][j][t], sc[j][i][t] = c, ctx.neg(c)
+            try:
+                L = from_structure_constants(ctx, 3, sc)
+            except JacobiViolation:
+                continue
+            solvable.add(is_solvable(L))
+            zs = {}
+            for kind in ("ideal", "subalgebra"):
+                z = zeta_oracle(L, kind)
+                assert zeta_enumerate(L, kind).coeffs == z.coeffs, (sc, q, kind)
+                assert z.coeffs[0] == z.coeffs[3] == 1
+                assert all(c <= gaussian_binomial(3, i, q)
+                           for i, c in enumerate(z.coeffs))
+                zs[kind] = z
+            assert zs["ideal"] <= zs["subalgebra"]
+    assert solvable == {False, True}
 
 
 def test_ideal_counts_never_exceed_subalgebra_counts():
