@@ -19,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 from math import comb, isqrt
 
 from .gf import NotPrime, count_roots, is_prime, make_field
@@ -139,19 +140,20 @@ def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
 
 
 def campaign_items(families, q_set, kinds):
-    """Deterministic work list: full parameter grids per family and q.  Every
-    row runs the oracle, so a grid outside its guard raises GuardExceeded."""
+    """Deterministic work list: full parameter grids per family and q, one
+    family at a time, so both enumerators' plan caches (keyed by structure-
+    constant support, not by field) stay warm across its fields.  Every row
+    runs the oracle, so a grid outside its guard raises GuardExceeded."""
+    fields = [make_field(*factor_prime_power(q)) for q in sorted(q_set)]
     items = []
-    for q in sorted(q_set):
-        p, k = factor_prime_power(q)
-        ctx = make_field(p, k)
-        for family in families:
-            if family not in FAMILIES:
-                raise KeyError(f"unknown family {family!r}")
-            check_guard(FAMILIES[family][0], q)
+    for family in families:
+        if family not in FAMILIES:
+            raise KeyError(f"unknown family {family!r}")
+        for ctx in fields:
+            check_guard(FAMILIES[family][0], ctx.q)
             for params in valid_params(family, ctx):
                 for kind in kinds:
-                    items.append((family, tuple(params), q, kind))
+                    items.append((family, tuple(params), ctx.q, kind))
     return items
 
 
@@ -176,10 +178,23 @@ def verify_campaign(families=None, q_set=(2, 3, 5), kinds=("subalgebra", "ideal"
 # -- residue-class profiling ----------------------------------------------
 
 N_MAX = 60  # largest modulus residue_profile classifies by
+P_MAX = 10**6  # largest bound primes_in sieves to
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """The primes p with lo <= p <= hi, ascending, by a sieve of
+    Eratosthenes over [0, hi].  A bound above P_MAX raises GuardExceeded."""
+    if hi > P_MAX:
+        raise GuardExceeded(f"porc guard: prime bound (--pmax) capped at 10^6, "
+                            f"got {hi}")
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    for p in range(2, isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), sieve[lo:]))
 
 
 @dataclass(frozen=True)
@@ -213,7 +228,8 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     "consistent at N=1 except p=2" style statements can be read off directly.
     """
     if n_max > N_MAX:
-        raise ValueError(f"n_max capped at {N_MAX}")
+        raise GuardExceeded(f"porc guard: modulus bound n_max (--nmax) capped at "
+                            f"{N_MAX}, got {n_max}")
     int_coeffs = tuple(int(c) for c in int_coeffs)
     samples = []
     for p in primes:

@@ -28,8 +28,13 @@ The tests depend on the algebra only through its structure constants.  A
 template built once per (pivots, n, kind), on first use, and cached for the
 life of the process records which bracket slot [e_u, e_v] feeds which
 monomial of which basis pair, and the residual terms each non-pivot column
-may need; each algebra fills it in from its nonzero structure constants
-sc[u][v][d], listed once per algebra.
+may need.  Monomials are never merged, so the plan made from it (the
+constant tests, the order of the levels, and each level's tests with the
+A + B*x split of every coordinate they read) depends only on the support,
+which sc[u][v][d] are nonzero.  _plan compiles it once per (pivots, n,
+kind, support) and keeps the last 256 plans; coefficients in a plan are
+indices into the algebra's nonzero constants, listed once per algebra, so
+an algebra only binds its values to a cached plan and runs the scan.
 """
 
 from __future__ import annotations
@@ -139,11 +144,96 @@ def _template(pivots: tuple[int, ...], n: int, kind: str):
 
 @lru_cache(maxsize=1)  # the cells of one algebra are counted in a row
 def _nonzero(L: LieAlgebra):
-    """(u*n + v, d, s) for each nonzero structure constant s = sc[u][v][d]
-    of L; u*n + v indexes the template's feeds."""
-    n = L.n
+    """(support, values): the flat index (u*n + v)*n + d of each nonzero
+    structure constant sc[u][v][d] of L, and those constants, in one order;
+    u*n + v indexes the template's feeds."""
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(L.sc))
-    return tuple((slot // n, slot % n, s) for slot, s in enumerate(flat) if s)
+    support, values = [], []
+    for at, s in enumerate(flat):
+        if s:
+            support.append(at)
+            values.append(s)
+    return tuple(support), tuple(values)
+
+
+# On the acceptance grid at most 120 plans serve one family over one field
+# (its supports times 2 kinds times 15 pivot sets), and a campaign runs one
+# family at a time (analysis.campaign_items), so the last 256 keep it warm.
+@lru_cache(maxsize=256)
+def _plan(pivots: tuple[int, ...], n: int, kind: str, support: tuple[int, ...]):
+    """The membership tests of one cell for every algebra whose nonzero
+    structure constants sit at support: (m, constants, levels).
+
+    A value index i names the i-th nonzero constant, in support order.
+    constants lists the tests that read no free entry, as the value indices
+    whose sum must vanish.  levels holds one (x, splits, checks) for each
+    free entry x some test reads, in row-major order; splits and checks are
+    None when no test is x's own.  splits are the bracket coordinates the
+    level's tests read, each as (A, B) with A + B*x the coordinate and A, B
+    lists of (value index, earlier variables) monomials over the parent
+    rows.  checks holds one (split of w_c, terms) per test, a term (split
+    of w_(p_t), the variable b_t[c]).
+    """
+    m, npairs, feeds, candidates = _template(pivots, n, kind)
+    # w[pair][d]: coordinate d of the pair's bracket as (value index,
+    # variables) monomials
+    w: list = [None] * npairs
+    for i, at in enumerate(support):
+        slot, d = divmod(at, n)
+        for pair, vars_ in feeds[slot]:
+            coords = w[pair]
+            if coords is None:
+                coords = w[pair] = [[] for _ in range(n)]
+            coords[d].append((i, vars_))
+
+    constants = []
+    tests: dict[int, list] = {}  # by the highest free variable a test reads
+    used: set[int] = set()
+    for pair, coords in enumerate(w):
+        if coords is None:
+            continue
+        for c, cand in candidates:
+            # residual w_c - sum_t w_(p_t) * b_t[c], since RREF clears pivot columns
+            terms = [(p, v) for p, v in cand if coords[p]]
+            if not (coords[c] or terms):
+                continue
+            read = {t for d in [c] + [p for p, _ in terms]
+                    for _, vars_ in coords[d] for t in vars_}
+            read.update(v for _, v in terms)
+            if not read:
+                constants.append(tuple(i for i, _ in coords[c]))
+                continue
+            used |= read
+            tests.setdefault(max(read), []).append((pair, c, terms))
+
+    levels = []
+    for x in sorted(used):
+        group = tests.get(x)
+        if group is None:
+            levels.append((x, None, None))
+            continue
+        splits: list = []
+        split_of: dict[int, int] = {}  # pair*n + d -> index in splits
+
+        def split(pair, d):
+            # coordinate d of the pair's bracket as (A, B), A + B*x; A and B
+            # read only earlier variables
+            at = split_of.get(pair * n + d)
+            if at is None:
+                at = split_of[pair * n + d] = len(splits)
+                a, b = [], []
+                for i, vars_ in w[pair][d]:
+                    if x not in vars_:
+                        a.append((i, vars_))
+                    else:  # vars_ holds x and at most one other variable
+                        b.append((i, vars_[1:] if vars_[0] == x else vars_[:1]))
+                splits.append((tuple(a), tuple(b)))
+            return at
+
+        checks = tuple([(split(pair, c), tuple([(split(pair, p), v) for p, v in terms]))
+                        for pair, c, terms in group])
+        levels.append((x, tuple(splits), checks))
+    return m, tuple(constants), tuple(levels)
 
 
 def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
@@ -154,49 +244,15 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
     Free entries no test reads are never bound; each multiplies the count by q.
     """
     q = L.ctx.q
-    n = L.n
-    m, npairs, feeds, candidates = _template(tuple(pivots), n, kind)
-    # w[pair][d]: coordinate d of the pair's bracket as (s, variables)
-    # monomials, from the nonzero structure constants
-    w: list = [None] * npairs
-    for slot, d, s in _nonzero(L):
-        for pair, vars_ in feeds[slot]:
-            coords = w[pair]
-            if coords is None:
-                coords = w[pair] = [[] for _ in range(n)]
-            coords[d].append((s, vars_))
+    support, values = _nonzero(L)
+    m, constants, levels = _plan(tuple(pivots), L.n, kind, support)
+    for test in constants:  # one field constant each, the same on every row
+        if reduce(L.ctx.add, [values[i] for i in test], 0):
+            return 0
 
-    # tests[v]: (bracket coordinates, [(column, [(pivot, var)])]) per pair,
-    # for the tests whose highest free variable is v.  A test that reads no
-    # variable is one constant on every row, decided here.
-    tests: dict[int, list] = {}
-    used: set[int] = set()
-    for coords in w:
-        if coords is None:
-            continue
-        checks: dict[int, list] = {}
-        for c, cand in candidates:
-            # residual w_c - sum_t w_(p_t) * b_t[c], since RREF clears pivot columns
-            terms = [(p, v) for p, v in cand if coords[p]]
-            if not (coords[c] or terms):
-                continue
-            read = {t for d in [c] + [p for p, _ in terms]
-                    for _, vars_ in coords[d] for t in vars_}
-            read.update(v for _, v in terms)
-            if not read:
-                if reduce(L.ctx.add, (s for s, _ in coords[c]), 0):
-                    return 0
-                continue
-            used |= read
-            checks.setdefault(max(read), []).append((c, terms))
-        for level, group in checks.items():
-            tests.setdefault(level, []).append((coords, group))
-
-    order = sorted(used)
-    col_of = {v: i for i, v in enumerate(order)}
     add_f, mul_f, sub_f, _, _, elements = L.ctx.tables()
     grid_x = elements[:, None]  # the new variable on the x-major (q, size) grid
-    cols: list[np.ndarray] = []  # values of the bound variables
+    cols: dict[int, np.ndarray] = {}  # values of the bound variables
     size = 1
 
     # field operations on the parent rows or the grid; None is a sum
@@ -214,57 +270,44 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
         # a sum of monomials over the parent rows, a constant if it reads no
         # variable
         acc = None
-        for s, vars_ in monos:
-            term = s
+        for i, vars_ in monos:
+            term = values[i]
             for v in vars_:
-                term = mul(term, cols[col_of[v]])
+                term = mul(term, cols[v])
             acc = add(acc, term)
         return acc
 
-    def split(monos, x):
-        # one bracket coordinate as (A, B), A + B*x: A and B read only
-        # earlier variables, so they are gathered on the parent rows
-        a = [mono for mono in monos if x not in mono[1]]
-        b = [(s, tuple(v for v in vars_ if v != x))
-             for s, vars_ in monos if x in vars_]
-        return on_parents(a), on_parents(b)
-
-    for level in order:
-        group = tests.get(level)
-        if group is None:  # nothing to test: every row takes all q values
-            cols = [np.tile(col, q) for col in cols]
-            cols.append(np.repeat(elements, size))
+    for x, splits, checks in levels:
+        if splits is None:  # nothing to test: every row takes all q values
+            cols = {v: np.tile(col, q) for v, col in cols.items()}
+            cols[x] = np.repeat(elements, size)
             size *= q
             continue
+        parts = [(on_parents(a), on_parents(b)) for a, b in splits]
         ok = True  # the level's tests on the (q, size) candidate grid
-        for coords, checks in group:
-            parts: dict = {}  # this pair's bracket coordinates
-            for c, terms in checks:
-                for d in [c] + [p for p, _ in terms]:
-                    if d not in parts:
-                        parts[d] = split(coords[d], level)
-                # the residual r0 + r1*x + r2*x^2 on the parent rows: each
-                # entry b_t[c] is x or an earlier variable y
-                r0, r1 = parts[c]
-                r2 = None
-                for p, v in terms:
-                    a, b = parts[p]
-                    if v == level:
-                        r1, r2 = sub(r1, a), sub(r2, b)
-                    else:
-                        y = cols[col_of[v]]
-                        r0, r1 = sub(r0, mul(a, y)), sub(r1, mul(b, y))
-                # every test reads x, so r1 or r2 is present
-                t = r1 if r2 is None else add(r1, mul(r2, grid_x))
-                ok = ok & (mul(t, grid_x) == sub(0, r0))
+        for c, terms in checks:
+            # the residual r0 + r1*x + r2*x^2 on the parent rows: each
+            # entry b_t[c] is x or an earlier variable y
+            r0, r1 = parts[c]
+            r2 = None
+            for p, y in terms:
+                a, b = parts[p]
+                if y == x:
+                    r1, r2 = sub(r1, a), sub(r2, b)
+                else:
+                    y = cols[y]
+                    r0, r1 = sub(r0, mul(a, y)), sub(r1, mul(b, y))
+            # every test reads x, so r1 or r2 is present
+            t = r1 if r2 is None else add(r1, mul(r2, grid_x))
+            ok = ok & (mul(t, grid_x) == sub(0, r0))
         keep = np.flatnonzero(np.broadcast_to(ok, (q, size)))
         if not len(keep):
             return 0
         xs, parent = np.divmod(keep, size)
-        cols = [col.take(parent) for col in cols]
-        cols.append(elements.take(xs))
+        cols = {v: col.take(parent) for v, col in cols.items()}
+        cols[x] = elements.take(xs)
         size = len(keep)
-    return size * q ** (m - len(order))
+    return size * q ** (m - len(levels))
 
 
 def check_guard(n: int, q: int) -> None:

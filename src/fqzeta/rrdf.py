@@ -18,9 +18,16 @@ are satisfiable for free and skipped.
 The conditions are sums of monomials in the free entries whose coefficients
 are structure constants.  Which constant feeds which monomial depends only on
 the cell and the kind, so a template recording it is built once per
-(DiagonalType, kind), on first use, and cached for the life of the process;
-each algebra specialises it by walking only its nonzero structure constants,
-then merges the monomials, drops zero ones and orders the conditions.
+(DiagonalType, kind), on first use, and cached for the life of the process.
+The scan plan made from it (which conditions exist, the level of each, how
+each level binds its variable) depends on the algebra only through its
+support, which structure constants are nonzero, and through which of the
+few monomials fed by more than one constant sum to zero.  _plan compiles it
+once per (cell, kind, support, vanishing sums) and keeps the last 256 plans;
+coefficients in a plan are indices into a list each algebra binds: its
+nonzero constants, their negations, the shared sums, and the -A/B factors
+of the levels solved directly.  A cell with no free entry is then a cached
+lookup.
 
 cell_count scans the cell level by level: it binds one free entry x at a
 time, in row-major order, and rather than giving x all q values it solves
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import itemgetter
 
 import numpy as np
@@ -243,8 +250,9 @@ def is_subalgebra(M: RrdfMatrix, L: LieAlgebra) -> bool:
 # condition is a short sum of monomials of degree at most 3 in the free
 # entries, with structure constants as coefficients.  Which structure
 # constant feeds which monomial of which condition depends only on the cell
-# and the kind: _template records it once per (cell, kind), and _conditions
-# specialises it to one algebra by walking its nonzero structure constants.
+# and the kind: _template records it once per (cell, kind), _plan turns it
+# into a scan plan once per support, and _conditions binds one algebra's
+# constants to that plan.
 #
 # A condition has degree at most 2 in any one variable: variable (r, c) sits
 # only in row r of M and in column c of M#, and a condition multiplies one
@@ -295,56 +303,97 @@ def _template(dt: DiagonalType, kind: str):
 
 @lru_cache(maxsize=1)  # the cells of one algebra are counted in a row
 def _nonzero(L: LieAlgebra):
-    """(slot, c, -c) for each nonzero structure constant c = sc[u][j][v] of
-    L, at the flat slot (u*n + j)*n + v of the template's feeds."""
+    """(support, coeffs): the flat slot (u*n + j)*n + v of the template's
+    feeds of each nonzero structure constant c = sc[u][j][v] of L, and
+    those constants followed by their negations, in one order."""
     neg = L.ctx.neg
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(L.sc))
-    return tuple((slot, c, neg(c)) for slot, c in enumerate(flat) if c)
+    support, values = [], []
+    for slot, c in enumerate(flat):
+        if c:
+            support.append(slot)
+            values.append(c)
+    return tuple(support), tuple(values + [neg(c) for c in values])
 
 
-def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
-    """(m, levels): the cell's template specialised to L, as a scan plan.
+def _polys(dt: DiagonalType, kind: str, support: tuple[int, ...]):
+    """(m, polys): the cell's conditions for the constants at support.
 
-    Each condition is a list of (coeff, sorted variables) monomials with
-    nonzero coefficients, and belongs to the level of its highest variable.
-    levels holds one (var, how, A, B, C, filters) per variable any condition
-    reads, in row-major order.  At a level with conditions, the one of least
-    degree in var is solved for it: one whose x coefficient is a nonzero
-    constant first, then the one with fewest monomials.  A is the monomial
-    list of minus its part of degree 0 in var, B and C those of its parts of
-    degree 1 and 2, all reading only earlier variables; how says how they
-    are stored (see FREE..QUADRATIC).
-    filters are the level's other conditions, low degree, then short, first.
-    levels is None when a nonzero constant condition kills the whole cell.
+    polys[condition][variables] lists the coefficient indices whose sum is
+    that monomial's coefficient: index i < k is the i-th of the k nonzero
+    constants, k + i its negation.
     """
-    ctx = L.ctx
-    add, neg, mul = ctx.add, ctx.neg, ctx.mul
     m, feeds = _template(dt, kind)
-    polys: dict[int, dict[tuple[int, ...], int]] = {}
-    for slot, c, minus_c in _nonzero(L):
+    k = len(support)
+    polys: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    for i, slot in enumerate(support):
         for ci, minus, key in feeds[slot]:
-            v = minus_c if minus else c
-            poly = polys.get(ci)
-            if poly is None:
-                polys[ci] = {key: v}
-            else:
-                old = poly.get(key)
-                poly[key] = v if old is None else add(old, v)
+            polys.setdefault(ci, {}).setdefault(key, []).append(k + i if minus else i)
+    return m, polys
+
+
+# Both caches are keyed by support.  On the acceptance grid at most 128
+# plans serve one family over one field, and a campaign runs one family at
+# a time (analysis.campaign_items), so the last 256 keep it warm.
+@lru_cache(maxsize=256)
+def _sums(dt: DiagonalType, kind: str, support: tuple[int, ...]):
+    """The coefficient indices of each monomial that more than one nonzero
+    constant feeds, in _polys order; usually none."""
+    return tuple(tuple(ids) for poly in _polys(dt, kind, support)[1].values()
+                 for ids in poly.values() if len(ids) > 1)
+
+
+@lru_cache(maxsize=256)
+def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...],
+          vanished: tuple[bool, ...]):
+    """(m, direct, levels): the cell's scan plan for every algebra whose
+    nonzero structure constants sit at support and whose shared monomial
+    sums (see _sums) vanish where vanished says.
+
+    Coefficients are indices into a list the algebra binds: its k nonzero
+    constants, their k negations, each shared sum followed by its negation,
+    then, for each (b, a) of direct in turn, -a[i]/b for each index a[i].
+    Each condition is a list of (coefficient, sorted variables) monomials
+    with nonzero coefficients, and belongs to the level of its highest
+    variable.  levels holds one (var, how, A, B, C, filters) per variable
+    any condition reads, in row-major order.  At a level with conditions,
+    the one of least degree in var is solved for it: one whose x
+    coefficient is a nonzero constant first, then the one with fewest
+    monomials.  A is the monomial list of minus its part of degree 0 in
+    var, B and C those of its parts of degree 1 and 2, all reading only
+    earlier variables; how says how they are stored (see FREE..QUADRATIC).
+    filters are the level's other conditions, low degree, then short,
+    first.  levels is None when a nonzero constant condition kills the
+    whole cell.
+    """
+    m, polys = _polys(dt, kind, support)
+    k = len(support)
+    shared = 2 * k  # the index of the next shared sum
     by_top: dict[int, list] = {}
     used: set[int] = set()
     for poly in polys.values():
-        monos = [(c, key) for key, c in poly.items() if c]
-        if len(monos) == 1:  # the common case, kept apart for speed
-            key = monos[0][1]
-            if not key:  # a nonzero constant: no matrix of the cell solves it
-                return m, None
-            used.update(key)
-            by_top.setdefault(key[-1], []).append((len(key), 1, monos))
-        elif monos:
-            keys = [key for _, key in monos]
-            used.update(*keys)
-            by_top.setdefault(max([key[-1] for key in keys if key]), []).append(
-                (max(map(len, keys)), len(monos), monos))
+        monos = []
+        for key, ids in poly.items():
+            if len(ids) == 1:
+                monos.append((ids[0], key))
+            else:
+                if not vanished[(shared - 2 * k) // 2]:
+                    monos.append((shared, key))
+                shared += 2
+        if not monos:
+            continue
+        keys = [key for _, key in monos]
+        if keys == [()]:  # a nonzero constant: no matrix of the cell solves it
+            return m, (), None
+        used.update(*keys)
+        by_top.setdefault(max([key[-1] for key in keys if key]), []).append(
+            (max(map(len, keys)), len(monos), monos))
+
+    def neg(i):
+        # the index of minus coefficient i
+        return (i + k) % (2 * k) if i < 2 * k else i ^ 1
+
+    direct = []
     levels = []
     for var in sorted(used):
         conds = by_top.get(var)
@@ -366,15 +415,36 @@ def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
             if best is None or rank < best[0]:
                 best = (rank, cond, a, b, c)
         _, chosen, a, b, c = best
-        filters = [cond[2] for cond in conds if cond is not chosen]
+        filters = tuple(tuple(cond[2]) for cond in conds if cond is not chosen)
         if c or len(b) > 1 or b[0][1]:
             levels.append((var, QUADRATIC if c else LINEAR,
-                           [(neg(k), key) for k, key in a], b, c or None, filters))
+                           tuple((neg(i), key) for i, key in a), tuple(b),
+                           tuple(c) or None, filters))
         else:
-            s = neg(ctx.inv(b[0][0]))
-            levels.append((var, DIRECT, [(mul(s, k), key) for k, key in a],
+            first = shared + sum(len(ids) for _, ids in direct)
+            direct.append((b[0][0], tuple(i for i, _ in a)))
+            levels.append((var, DIRECT,
+                           tuple((first + t, key) for t, (_, key) in enumerate(a)),
                            None, None, filters))
-    return m, levels
+    return m, tuple(direct), tuple(levels)
+
+
+def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
+    """(m, levels, coeffs): the cell's scan plan for L (see _plan) and the
+    coefficients its indices name, bound from L's nonzero constants."""
+    ctx = L.ctx
+    support, coeffs = _nonzero(L)
+    coeffs = list(coeffs)
+    vanished = []
+    for ids in _sums(dt, kind, support):
+        total = reduce(ctx.add, [coeffs[i] for i in ids])
+        coeffs += [total, ctx.neg(total)]
+        vanished.append(not total)
+    m, direct, levels = _plan(dt, kind, support, tuple(vanished))
+    for b, ids in direct:
+        s = ctx.neg(ctx.inv(coeffs[b]))
+        coeffs += [ctx.mul(s, coeffs[i]) for i in ids]
+    return m, levels, coeffs
 
 
 @lru_cache(maxsize=16)
@@ -419,15 +489,16 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         raise ValueError(f"kind must be 'ideal' or 'subalgebra', got {kind!r}")
     if dt.n != L.n:
         raise DimensionMismatch(f"cell is for n={dt.n}, algebra has n={L.n}")
-    q = L.ctx.q
-    m, levels = _conditions(L, dt, kind)
+    ctx = L.ctx
+    q = ctx.q
+    m, levels, coeffs = _conditions(L, dt, kind)
     if levels is None:
         return 0
     if not levels:  # no condition reads a free entry
         return q**m
     # bind only the variables some condition reads, in row-major order
-    add, mul, _, _, inv, elements = L.ctx.tables()
-    n_roots, root1, root2 = _roots(L.ctx)
+    add, mul, _, _, inv, elements = ctx.tables()
+    n_roots, root1, root2 = _roots(ctx)
     end = len(levels)
     step = max(1, CHUNK // q)  # rows that take every value, per batch
     nothing = np.zeros(0, dtype=np.intp)
@@ -437,7 +508,8 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         # the row of products c*y
         acc = None
         const = 0
-        for c, vars_ in monos:
+        for i, vars_ in monos:
+            c = coeffs[i]
             if not vars_:
                 const = c
                 continue
@@ -449,42 +521,45 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
             return np.full(rows, const, dtype=np.uint16)
         return add[const * q:const * q + q].take(acc) if const else acc
 
+    def linear(a, b):
+        # (src, x, every) of B x = A: one root where B != 0, every value
+        # where A = B = 0
+        nz = b.nonzero()[0]
+        return (nz, mul.take(a.take(nz) * q + inv.take(b.take(nz))),
+                ((a | b) == 0).nonzero()[0])
+
     def solve(how, A, B, C, cols, rows):
         # (src, x, every): the level's solutions on the rows, as parent rows
-        # src with their values x of the variable, and the parent rows on
-        # which every value solves
+        # src with their values x of the variable (src None: row i has value
+        # x[i]), and the parent rows on which every value solves
         if how == FREE:
             return nothing, nothing, np.arange(rows)
         a = value(A, cols, rows)
         if how == DIRECT:
-            return np.arange(rows), a, nothing
+            return None, a, nothing
         b = value(B, cols, rows)
-        src, x = [], []
-        lin = np.arange(rows)  # the rows solved as B x = A
-        if how == QUADRATIC:
-            c = value(C, cols, rows)
-            scale = inv.take(c)
-            at = mul.take(b * q + scale) * q + mul.take(a * q + scale)
-            count = n_roots.take(at)
-            lin = (c == 0).nonzero()[0]
-            count[lin] = 0
-            a = a.take(lin)
-            b = b.take(lin)
-            one = count.nonzero()[0]
-            two = (count == 2).nonzero()[0]
-            src += [one, two]
-            x += [root1.take(at.take(one)), root2.take(at.take(two))]
-        # one root where B != 0, every value where A = B = 0
-        nz = b.nonzero()[0]
-        src.append(lin.take(nz))
-        x.append(mul.take(a.take(nz) * q + inv.take(b.take(nz))))
-        return (np.concatenate(src), np.concatenate(x),
-                lin.take(((a | b) == 0).nonzero()[0]))
+        if how == LINEAR:
+            return linear(a, b)
+        c = value(C, cols, rows)
+        scale = inv.take(c)
+        at = mul.take(b * q + scale) * q + mul.take(a * q + scale)
+        count = n_roots.take(at)
+        lin = (c == 0).nonzero()[0]  # the rows solved as B x = A
+        count[lin] = 0
+        one = count.nonzero()[0]
+        two = (count == 2).nonzero()[0]
+        src, x, every = linear(a.take(lin), b.take(lin))
+        return (np.concatenate([one, two, lin.take(src)]),
+                np.concatenate([root1.take(at.take(one)), root2.take(at.take(two)), x]),
+                lin.take(every))
 
     def batches(src, x, every):
-        # (parent rows, values) in batches of at most CHUNK rows
-        for start in range(0, len(src), CHUNK):
-            yield src[start:start + CHUNK], x[start:start + CHUNK]
+        # (parent rows, values) in batches of at most CHUNK rows; parent
+        # rows are a slice where src is None
+        for start in range(0, len(x), CHUNK):
+            stop = start + CHUNK
+            yield (slice(start, stop) if src is None else src[start:stop],
+                   x[start:stop])
         for start in range(0, len(every), step):
             part = every[start:start + step]
             yield np.repeat(part, q), np.tile(elements, len(part))
@@ -497,9 +572,9 @@ def cell_count(L: LieAlgebra, dt: DiagonalType, kind: str) -> int:
         var, how, A, B, C, filters = levels[depth]
         total = 0
         for src, x in batches(*solve(how, A, B, C, cols, rows)):
-            child = {t: col.take(src) for t, col in cols.items()}
+            child = {t: col[src] for t, col in cols.items()}
             child[var] = x
-            size = len(src)
+            size = len(x)
             del src  # not held while the batch is scanned
             for monos in filters:
                 passed = (value(monos, child, size) == 0).nonzero()[0]

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from fqzeta import analysis as an
-from fqzeta.gf import NotPrime
+from fqzeta.gf import NotPrime, is_prime
 from fqzeta.liealg import FAMILIES
 from fqzeta.oracle import GuardExceeded
 
@@ -166,6 +166,23 @@ def test_residue_profile_v720_not_consistent():
 def test_residue_profile_nmax_guard():
     with pytest.raises(ValueError):
         an.residue_profile([1, 1], [2, 3], n_max=61)
+
+
+def test_primes_in_sieve_matches_trial_division():
+    for lo, hi in [(10, 5), (-7, 30), (0, 1), (-3, -1), (2, 2), (0, 10**4),
+                   (9000, 10**4)]:
+        assert an.primes_in(lo, hi) == \
+            [p for p in range(max(lo, 2), hi + 1) if is_prime(p)], (lo, hi)
+
+
+def test_porc_caps_are_library_guards():
+    # both raise the work guard exception, which the CLI maps to exit 3
+    assert an.P_MAX == 10**6
+    assert an.primes_in(an.P_MAX - 100, an.P_MAX)[-1] == 999983
+    with pytest.raises(GuardExceeded, match="--pmax"):
+        an.primes_in(2, an.P_MAX + 1)
+    with pytest.raises(GuardExceeded, match="--nmax"):
+        an.residue_profile([1, 1], [2, 3], n_max=an.N_MAX + 1)
 
 
 def test_period_estimate_abelian_is_one():

@@ -372,6 +372,20 @@ def test_porc_nmax_over_cap_exit_3(capsys):
     assert err.count("\n") == 1 and "--nmax" in err and not out
 
 
+def test_porc_caps_refused_before_any_root(capsys, monkeypatch):
+    # the caps live in analysis; the CLI maps them to exit 3, also when the
+    # sample is empty, and counts no root first
+    def count_roots(*args):
+        raise AssertionError("a root was counted")
+
+    monkeypatch.setattr(analysis, "count_roots", count_roots)
+    for argv in (["--pmax", "1000001"], ["--nmax", "61"],
+                 ["--poly", "v720", "--pmax", "3", "--nmax", "61"]):
+        code, out, err = run(capsys, "porc", *argv)
+        assert code == EXIT_GUARD, argv
+        assert err.count("\n") == 1 and err.startswith("error: ") and not out
+
+
 def test_porc_nmax_zero_exit_2(capsys):
     code, out, err = run(capsys, "porc", "--nmax", "0")
     assert code == EXIT_PARSE

@@ -1,11 +1,9 @@
-import ast
 import itertools
 import random
-from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from test_rrdf import dense_conjugates
+from test_rrdf import dense_conjugates, imported_names
 
 from fqzeta.formulas import closed_form, evaluate, gaussian_binomial
 from fqzeta.gf import make_field
@@ -188,15 +186,7 @@ def test_ideal_counts_never_exceed_subalgebra_counts():
 
 def test_oracle_imports_nothing_from_the_cell_route():
     # the cross-check is only as strong as the independence of the routes
-    source = (resources.files("fqzeta") / "oracle.py").read_text(encoding="utf-8")
-    imported = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            module = ".".join(part for part in
-                              ("fqzeta" if node.level else "", node.module) if part)
-            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    imported = imported_names("oracle")
     assert "fqzeta.liealg" in imported  # relative imports resolve to the package
     bad = [name for name in imported
            if name == "fqzeta.rrdf" or name.startswith("fqzeta.rrdf.")]

@@ -1,4 +1,6 @@
+import ast
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -324,7 +326,7 @@ def test_dense_conjugates_match_scalar():
     def check(L):
         for t in diagonal_types(L.n):
             for kind in ("ideal", "subalgebra"):
-                _, levels = rrdf._conditions(L, t, kind)
+                _, levels, _ = rrdf._conditions(L, t, kind)
                 seen.update(level[1] for level in levels or ())
                 assert cell_count(L, t, kind) == cell_count_scalar(L, t, kind), \
                     (L.name, L.sc, L.ctx.q, t, kind)
@@ -392,3 +394,27 @@ def test_bad_kind_rejected():
     L = catalog("L22", (), ctx)
     with pytest.raises(ValueError):
         cell_count(L, dt((1,), (1,)), "subgroup")
+
+
+def imported_names(module: str) -> list[str]:
+    """Every module and name that fqzeta/<module>.py imports, with relative
+    imports resolved to the package."""
+    source = (resources.files("fqzeta") / f"{module}.py").read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(part for part in
+                              ("fqzeta" if node.level else "", node.module) if part)
+            imported += [source] + [f"{source}.{alias.name}" for alias in node.names]
+    return imported
+
+
+def test_cell_route_imports_nothing_from_the_oracle():
+    # the mirror of test_oracle_imports_nothing_from_the_cell_route
+    imported = imported_names("rrdf")
+    assert "fqzeta.liealg" in imported  # relative imports resolve to the package
+    bad = [name for name in imported
+           if name == "fqzeta.oracle" or name.startswith("fqzeta.oracle.")]
+    assert not bad
