@@ -69,7 +69,8 @@ def test_dense_conjugates_match_scalar():
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(dense_conjugates())
-    def check(L):
+    def check(pair):
+        _, L = pair
         for k in range(1, L.n + 1):
             for pivots in itertools.combinations(range(L.n), k):
                 for kind in ("ideal", "subalgebra"):
@@ -172,6 +173,10 @@ def test_random_three_dimensional_algebras_solvable_or_not():
                            for i, c in enumerate(z.coeffs))
                 zs[kind] = z
             assert zs["ideal"] <= zs["subalgebra"]
+            # every line is a subalgebra, in both routes
+            for route in (zeta_oracle, zeta_enumerate):
+                assert route(L, "subalgebra").coeffs[2] == (q**3 - 1) // (q - 1), \
+                    (sc, q, route.__name__)
     assert solvable == {False, True}
 
 

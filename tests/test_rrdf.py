@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from importlib import resources
 
@@ -298,9 +299,10 @@ def test_root_table_wide_fields_sampled(p, k):
 
 @st.composite
 def dense_conjugates(draw):
-    # a catalog algebra written in a random basis over F_4, F_8 or F_9: its
-    # structure constants are dense, unlike the catalog's; n <= 3 over F_8
-    # and F_9 keeps the scalar reference fast
+    # (source, conjugate): a catalog algebra and the same algebra written in
+    # a random basis over F_4, F_8 or F_9, whose structure constants are
+    # dense, unlike the catalog's; n <= 3 over F_8 and F_9 keeps the scalar
+    # reference fast
     q = draw(st.sampled_from((4, 8, 9)))
     ctx = make_field(*factor_prime_power(q))
     families = [f for f, (n, _) in FAMILIES.items()
@@ -312,27 +314,53 @@ def dense_conjugates(draw):
     g = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                       min_size=n, max_size=n))
     assume(_rank(g, ctx) == n)
-    return conjugate(catalog(family, params, ctx), g)
+    source = catalog(family, params, ctx)
+    return source, conjugate(source, g)
+
+
+def _cancels(monos, coeffs, ctx):
+    # whether two monomials of the list read the same variables with
+    # coefficients that sum to zero
+    by_vars = {}
+    for i, vars_ in monos:
+        by_vars.setdefault(vars_, []).append(coeffs[i])
+    return any(ctx.add(a, b) == 0 for cs in by_vars.values()
+               for a, b in itertools.combinations(cs, 2))
 
 
 def test_dense_conjugates_match_scalar():
     # the solved scan against the scalar reference, on every cell; the
-    # inputs must reach every way a level can bind its variable
+    # inputs must reach every way a level can bind its variable, a B or C
+    # with two constant monomials (which value() must add up) and a pair of
+    # terms that cancel, which plans never merge
     seen = set()
 
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(dense_conjugates())
-    def check(L):
+    def check(pair):
+        source, L = pair
         for t in diagonal_types(L.n):
             for kind in ("ideal", "subalgebra"):
-                _, levels, _ = rrdf._conditions(L, t, kind)
-                seen.update(level[1] for level in levels or ())
+                _, levels, coeffs = rrdf._conditions(L, t, kind)
+                for _, how, A, B, C, filters in levels or ():
+                    seen.add(how)
+                    if any(sum(not vars_ for _, vars_ in part) > 1
+                           for part in (B or (), C or ())):
+                        seen.add("constants added")
+                    if any(_cancels(part, coeffs, L.ctx)
+                           for part in (A or (), B or (), C or ()) + filters):
+                        seen.add("terms cancel")
                 assert cell_count(L, t, kind) == cell_count_scalar(L, t, kind), \
                     (L.name, L.sc, L.ctx.q, t, kind)
+        # a change of basis leaves the counts unchanged
+        for kind in ("ideal", "subalgebra"):
+            assert zeta_enumerate(L, kind).coeffs == \
+                zeta_enumerate(source, kind).coeffs, (source.name, L.sc, kind)
 
     check()
-    assert seen == {rrdf.FREE, rrdf.DIRECT, rrdf.LINEAR, rrdf.QUADRATIC}
+    assert seen == {rrdf.FREE, rrdf.DIRECT, rrdf.LINEAR, rrdf.QUADRATIC,
+                    "constants added", "terms cancel"}
 
 
 @pytest.mark.parametrize("p,k", [(251, 1), (2, 8)])
