@@ -19,14 +19,15 @@ The conditions are sums of monomials in the free entries whose coefficients
 are structure constants.  Which constant feeds which monomial depends only on
 the cell and the kind, so a template recording it is built once per
 (DiagonalType, kind), on first use, and cached for the life of the process.
-Monomials are never merged: a plan keeps one per constant that feeds it, so
-the scan plan made from the template (which conditions exist, the level of
-each, how each level binds its variable) depends on the algebra only through
-its support, which structure constants are nonzero.  _plan compiles it once
-per (cell, kind, support) and keeps the last 256 plans; coefficients in a
-plan are indices into a list each algebra binds: its nonzero constants,
-their negations, and the -A/B factors of the levels solved directly.  A
-cell with no free entry is then a cached lookup.
+The scan plan made from it (which conditions exist, the level of each, how
+each level binds its variable) depends on the algebra only through its
+support, which structure constants are nonzero, and through which of the
+few monomials fed by more than one constant sum to zero.  _plan compiles it
+once per (cell, kind, support, vanishing sums) and keeps the last 256 plans;
+coefficients in a plan are indices into a list each algebra binds: its
+nonzero constants, their negations, the shared sums, and the -A/B factors
+of the levels solved directly.  A cell with no free entry is then a cached
+lookup.
 
 cell_count scans the cell level by level: it binds one free entry x at a
 time, in row-major order, and rather than giving x all q values it solves
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import itemgetter
 
 import numpy as np
@@ -250,10 +251,8 @@ def is_subalgebra(M: RrdfMatrix, L: LieAlgebra) -> bool:
 # entries, with structure constants as coefficients.  Which structure
 # constant feeds which monomial of which condition depends only on the cell
 # and the kind: _template records it once per (cell, kind), _plan turns it
-# into a scan plan once per support, one monomial per feeding constant, and
-# _conditions binds one algebra's constants to that plan.  Terms that cancel
-# for some values, such as c and -c on one monomial, are evaluated and add
-# up to zero on every row.
+# into a scan plan once per support, and _conditions binds one algebra's
+# constants to that plan.
 #
 # A condition has degree at most 2 in any one variable: variable (r, c) sits
 # only in row r of M and in column c of M#, and a condition multiplies one
@@ -317,46 +316,82 @@ def _nonzero(L: LieAlgebra):
     return tuple(support), tuple(values + [neg(c) for c in values])
 
 
-# Plans are keyed by support.  On the acceptance grid at most 128 plans serve
-# one family over one field, and a campaign runs one family at a time
-# (analysis.campaign_items), so the last 256 keep it warm.
-@lru_cache(maxsize=256)
-def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...]):
-    """(m, direct, levels): the cell's scan plan for every algebra whose
-    nonzero structure constants sit at support.
+def _polys(dt: DiagonalType, kind: str, support: tuple[int, ...]):
+    """(m, polys): the cell's conditions for the constants at support.
 
-    Coefficients are indices into a list the algebra binds: its k nonzero
-    constants, their k negations, then, for each (b, a) of direct in turn,
-    -a[i]/b for each index a[i].  Each condition is a list of (coefficient,
-    sorted variables) monomials, one per constant that feeds it, never
-    merged, and belongs to the level of its highest variable.  levels holds
-    one (var, how, A, B, C, filters) per variable any condition reads, in
-    row-major order.  At a level with conditions, the one of least degree
-    in var is solved for it: one whose x coefficient is a single constant
-    first, then the one with fewest monomials.  A is the monomial list of
-    minus its part of degree 0 in var, B and C those of its parts of degree
-    1 and 2, all reading only earlier variables; how says how they are
-    stored (see FREE..QUADRATIC).  filters are the level's other
-    conditions, low degree, then short, first.  levels is None when a
-    condition reads no variable: only the slot (u, l, v) = (i, j, k) feeds
-    the constant monomial of condition (i, j, k), so it is a nonzero
-    constant and no matrix of the cell solves it.
+    polys[condition][variables] lists the coefficient indices whose sum is
+    that monomial's coefficient: index i < k is the i-th of the k nonzero
+    constants, k + i its negation.
     """
     m, feeds = _template(dt, kind)
     k = len(support)
-    conds: dict[int, list] = {}
+    polys: dict[int, dict[tuple[int, ...], list[int]]] = {}
     for i, slot in enumerate(support):
         for ci, minus, key in feeds[slot]:
-            conds.setdefault(ci, []).append((k + i if minus else i, key))
+            polys.setdefault(ci, {}).setdefault(key, []).append(k + i if minus else i)
+    return m, polys
+
+
+# Both caches are keyed by support.  On the acceptance grid at most 128
+# plans serve one family over one field, and a campaign runs one family at
+# a time (analysis.campaign_items), so the last 256 keep it warm.
+@lru_cache(maxsize=256)
+def _sums(dt: DiagonalType, kind: str, support: tuple[int, ...]):
+    """The coefficient indices of each monomial that more than one nonzero
+    constant feeds, in _polys order; usually none."""
+    return tuple(tuple(ids) for poly in _polys(dt, kind, support)[1].values()
+                 for ids in poly.values() if len(ids) > 1)
+
+
+@lru_cache(maxsize=256)
+def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...],
+          vanished: tuple[bool, ...]):
+    """(m, direct, levels): the cell's scan plan for every algebra whose
+    nonzero structure constants sit at support and whose shared monomial
+    sums (see _sums) vanish where vanished says.
+
+    Coefficients are indices into a list the algebra binds: its k nonzero
+    constants, their k negations, each shared sum followed by its negation,
+    then, for each (b, a) of direct in turn, -a[i]/b for each index a[i].
+    Each condition is a list of (coefficient, sorted variables) monomials
+    with nonzero coefficients, and belongs to the level of its highest
+    variable.  levels holds one (var, how, A, B, C, filters) per variable
+    any condition reads, in row-major order.  At a level with conditions,
+    the one of least degree in var is solved for it: one whose x
+    coefficient is a nonzero constant first, then the one with fewest
+    monomials.  A is the monomial list of minus its part of degree 0 in
+    var, B and C those of its parts of degree 1 and 2, all reading only
+    earlier variables; how says how they are stored (see FREE..QUADRATIC).
+    filters are the level's other conditions, low degree, then short,
+    first.  levels is None when a nonzero constant condition kills the
+    whole cell.
+    """
+    m, polys = _polys(dt, kind, support)
+    k = len(support)
+    shared = 2 * k  # the index of the next shared sum
     by_top: dict[int, list] = {}
     used: set[int] = set()
-    for monos in conds.values():
+    for poly in polys.values():
+        monos = []
+        for key, ids in poly.items():
+            if len(ids) == 1:
+                monos.append((ids[0], key))
+            else:
+                if not vanished[(shared - 2 * k) // 2]:
+                    monos.append((shared, key))
+                shared += 2
+        if not monos:
+            continue
         keys = [key for _, key in monos]
         if keys == [()]:  # a nonzero constant: no matrix of the cell solves it
             return m, (), None
         used.update(*keys)
         by_top.setdefault(max([key[-1] for key in keys if key]), []).append(
             (max(map(len, keys)), len(monos), monos))
+
+    def neg(i):
+        # the index of minus coefficient i
+        return (i + k) % (2 * k) if i < 2 * k else i ^ 1
 
     direct = []
     levels = []
@@ -383,10 +418,10 @@ def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...]):
         filters = tuple(tuple(cond[2]) for cond in conds if cond is not chosen)
         if c or len(b) > 1 or b[0][1]:
             levels.append((var, QUADRATIC if c else LINEAR,
-                           tuple(((i + k) % (2 * k), key) for i, key in a),
-                           tuple(b), tuple(c) or None, filters))
+                           tuple((neg(i), key) for i, key in a), tuple(b),
+                           tuple(c) or None, filters))
         else:
-            first = 2 * k + sum(len(ids) for _, ids in direct)
+            first = shared + sum(len(ids) for _, ids in direct)
             direct.append((b[0][0], tuple(i for i, _ in a)))
             levels.append((var, DIRECT,
                            tuple((first + t, key) for t, (_, key) in enumerate(a)),
@@ -399,8 +434,13 @@ def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
     coefficients its indices name, bound from L's nonzero constants."""
     ctx = L.ctx
     support, coeffs = _nonzero(L)
-    m, direct, levels = _plan(dt, kind, support)
     coeffs = list(coeffs)
+    vanished = []
+    for ids in _sums(dt, kind, support):
+        total = reduce(ctx.add, [coeffs[i] for i in ids])
+        coeffs += [total, ctx.neg(total)]
+        vanished.append(not total)
+    m, direct, levels = _plan(dt, kind, support, tuple(vanished))
     for b, ids in direct:
         s = ctx.neg(ctx.inv(coeffs[b]))
         coeffs += [ctx.mul(s, coeffs[i]) for i in ids]

@@ -1,11 +1,9 @@
 """Both enumerators build their closure tests from templates cached per cell
-shape and kind, compile them into scan plans cached per (cell, kind,
-support) alone, where the support says which structure constants are
-nonzero, and bind each algebra's values to a plan.  Neither route merges
-monomials, so values that cancel need no plan of their own.  Nothing
-specific to an algebra or a field may survive in a cached template or plan:
-interleaving fields and families must give the scalar counts on every
-cell."""
+shape and kind, compile them into scan plans cached per support (which
+structure constants are nonzero), and bind each algebra's values to a plan.
+Nothing specific to an algebra or a field may survive in a cached template
+or plan: interleaving fields and families must give the scalar counts on
+every cell."""
 
 import itertools
 
@@ -20,7 +18,8 @@ KINDS = ("ideal", "subalgebra")
 
 def test_templates_hold_nothing_of_an_algebra_or_field():
     # a template is read only when a plan is compiled, so clear both
-    for cache in (rrdf._template, rrdf._plan, oracle._template, oracle._plan):
+    for cache in (rrdf._template, rrdf._plan, rrdf._sums, oracle._template,
+                  oracle._plan):
         cache.cache_clear()
     # F_5, F_4, then F_5 again; parameters are field elements in each
     rows = 0
@@ -66,7 +65,7 @@ def _diagonal_action(ctx, alpha, beta):
     # [e_0, e_1] = alpha e_1 and [e_0, e_2] = beta e_2.  In the ideal cell
     # (1, 1, 0), the condition (m_1 C_0 M#)_2 gets its x_(1,2) coefficient
     # from sc[2][0][2] = -beta and from the M# entry times sc[1][0][1] =
-    # -alpha: alpha - beta, two monomials that cancel when alpha = beta
+    # -alpha: alpha - beta, which vanishes when alpha = beta
     sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     sc[0][1][1], sc[1][0][1] = alpha, ctx.neg(alpha)
     sc[0][2][2], sc[2][0][2] = beta, ctx.neg(beta)
@@ -74,7 +73,7 @@ def _diagonal_action(ctx, alpha, beta):
 
 
 def test_plans_are_compiled_per_support_and_bound_per_algebra():
-    for cache in (oracle._plan, rrdf._plan):
+    for cache in (oracle._plan, rrdf._plan, rrdf._sums):
         cache.cache_clear()
         assert cache.cache_info().maxsize is not None  # bounded
     ctx = make_field(7, 1)
@@ -86,9 +85,9 @@ def test_plans_are_compiled_per_support_and_bound_per_algebra():
     misses = _plan_misses()
     _counts_match_scalar(second)
     assert _plan_misses() == misses
-    # a third support: alpha = beta makes two cell-route monomials cancel,
-    # but neither route merges monomials, so it reuses every plan of the
-    # pair, and the pair still counts right on plans the equal case bound
+    # a third support: alpha = beta makes a shared cell-route sum vanish,
+    # which needs plans of its own there, but not in the oracle, which
+    # never merges monomials.  Counting the pair again must not reuse them.
     pair = [_diagonal_action(ctx, 2, 3), _diagonal_action(ctx, 3, 5)]
     equal = _diagonal_action(ctx, 4, 4)
     assert len({rrdf._nonzero(L)[0] for L in pair + [equal]}) == 1
@@ -96,6 +95,9 @@ def test_plans_are_compiled_per_support_and_bound_per_algebra():
         _counts_match_scalar(L)
     misses = _plan_misses()
     _counts_match_scalar(equal)
+    assert _plan_misses()[0] == misses[0]
+    assert _plan_misses()[1] > misses[1]
+    misses = _plan_misses()
     for L in pair:
         _counts_match_scalar(L)
     assert _plan_misses() == misses
