@@ -442,15 +442,48 @@ class IsoPair:
     coeffs: tuple[int, ...]
 
 
+class IsoPairs:
+    """The pairs of an isospectral scan, held as groups of instances with
+    equal polynomials and built only while they are iterated.
+
+    Each (q, kind) block lists, in instance order, every instance that has
+    a later partner, as (group, position, coeffs): group is the list of the
+    block's instances with polynomial coeffs, in instance order.  len() is
+    the sum of C(s, 2) over the group sizes s; each iter() is a fresh
+    generator of the IsoPair objects in (q, kind, left, right) order.
+    """
+
+    __slots__ = ("_blocks", "_len")
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+        self._len = sum(len(group) - 1 - i for _, _, placed in self._blocks
+                        for group, i, _ in placed)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for q, kind, placed in self._blocks:
+            for group, i, coeffs in placed:
+                left = group[i]
+                for j in range(i + 1, len(group)):
+                    yield IsoPair(left, group[j], kind, q, coeffs)
+
+
 def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
-                     families=None) -> list[IsoPair]:
+                     families=None) -> IsoPairs:
     """Unordered pairs of distinct catalog instances with equal polynomials.
 
     Polynomials come from the closed forms (the campaign separately proves
     those equal to both enumeration routes), so full grids stay cheap.
-    Pairs come ordered by (q, kind, left, right), an instance ordering by
-    (family's catalog position, params).  A grid whose iso_work is above
-    ISO_WORK_LIMIT raises GuardExceeded before any instance is evaluated.
+    Returns an IsoPairs: every instance is evaluated here, but a pair is
+    built only when the result is iterated, which can be done again and
+    again; len() is the exact number of pairs, counted without building
+    one.  Pairs come ordered by (q, kind, left, right), an instance
+    ordering by (family's catalog position, params).  A grid whose iso_work
+    is above ISO_WORK_LIMIT raises GuardExceeded before any instance is
+    evaluated.
     """
     families = list(families) if families else list(FAMILIES)
     work = iso_work(q_set, kinds, families)
@@ -458,7 +491,7 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
         raise GuardExceeded(f"iso guard: {work:.2g} instance pairs to compare, "
                             f"over the limit of {ISO_WORK_LIMIT:.0e}")
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
-    pairs: list[IsoPair] = []
+    blocks = []
     for q in sorted(q_set):
         p, k = factor_prime_power(q)
         ctx = make_field(p, k)
@@ -479,7 +512,6 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
                 group = groups.setdefault(coeffs, [])
                 placed.append((group, len(group), coeffs))
                 group.append((family, params))
-            for group, i, coeffs in placed:
-                for right in group[i + 1:]:
-                    pairs.append(IsoPair(group[i], right, kind, q, coeffs))
-    return pairs
+            blocks.append((q, kind, tuple(pl for pl in placed
+                                          if pl[1] < len(pl[0]) - 1)))
+    return IsoPairs(blocks)

@@ -19,6 +19,8 @@ import re
 import sys
 import time
 import traceback
+from contextlib import nullcontext
+from itertools import islice
 
 from . import __version__, analysis
 from .analysis import factor_prime_power, threads_from_env
@@ -62,14 +64,15 @@ def display_from_record(rec: dict) -> str:
 
 
 def _emit(records, out_path: str | None, to_stdout: bool):
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for line in lines:  # no joined copy of the whole file in memory
+    """Write each record of an iterable as one JSON line as it comes, to
+    out_path and/or standard output, holding no record once written."""
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext() as fh:
+        for r in records:
+            line = json.dumps(r, sort_keys=True)
+            if fh is not None:
                 fh.write(line + "\n")
-    if to_stdout:
-        for line in lines:
-            print(line)
+            if to_stdout:
+                print(line)
 
 
 def _check_out(path: str | None) -> None:
@@ -397,22 +400,21 @@ def cmd_iso(args) -> int:
         raise CliError(f"--limit must be at least 0, got {args.limit}", EXIT_PARSE)
     _check_table()
     pairs = analysis.isospectral_scan(q_set, kinds, families)
-    print(f"isospectral pairs over q in {q_set}, kinds {list(kinds)}: "
-          f"{len(pairs)}")
-    limit = args.limit if args.limit else len(pairs)
-    for pr in pairs[:limit]:
+    total = len(pairs)
+    print(f"isospectral pairs over q in {q_set}, kinds {list(kinds)}: {total}")
+    limit = args.limit if args.limit else total
+    for pr in islice(pairs, limit):
         l = describe_instance(*pr.left)
         r = describe_instance(*pr.right)
         print(f"  q={pr.q} {pr.kind:10s} {l:12s} ~ {r:12s} {list(pr.coeffs)}")
-    if limit < len(pairs):
-        print(f"  ... {len(pairs) - limit} more (raise --limit)")
+    if limit < total:
+        print(f"  ... {total - limit} more (raise --limit)")
     if args.out:
-        records = [record("iso", q=pr.q, kind=pr.kind,
-                          left={"family": pr.left[0], "params": list(pr.left[1])},
-                          right={"family": pr.right[0], "params": list(pr.right[1])},
-                          coeffs=coeff_strings(pr.coeffs))
-                   for pr in pairs]
-        _emit(records, args.out, to_stdout=False)
+        _emit((record("iso", q=pr.q, kind=pr.kind,
+                      left={"family": pr.left[0], "params": list(pr.left[1])},
+                      right={"family": pr.right[0], "params": list(pr.right[1])},
+                      coeffs=coeff_strings(pr.coeffs))
+               for pr in pairs), args.out, to_stdout=False)
     return EXIT_OK
 
 

@@ -316,12 +316,14 @@ def _nonzero(L: LieAlgebra):
     return tuple(support), tuple(values + [neg(c) for c in values])
 
 
+@lru_cache(maxsize=1)  # a plan miss reads it through _sums and then _plan
 def _polys(dt: DiagonalType, kind: str, support: tuple[int, ...]):
     """(m, polys): the cell's conditions for the constants at support.
 
     polys[condition][variables] lists the coefficient indices whose sum is
     that monomial's coefficient: index i < k is the i-th of the k nonzero
-    constants, k + i its negation.
+    constants, k + i its negation.  The result is shared: readers must not
+    change it.
     """
     m, feeds = _template(dt, kind)
     k = len(support)

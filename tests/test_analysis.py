@@ -1,10 +1,13 @@
+import gc
 import time
+import tracemalloc
 
 import pytest
 
 from fqzeta import analysis as an
-from fqzeta.gf import NotPrime, is_prime
-from fqzeta.liealg import FAMILIES
+from fqzeta.formulas import closed_form, evaluate
+from fqzeta.gf import NotPrime, is_prime, make_field
+from fqzeta.liealg import FAMILIES, valid_params
 from fqzeta.oracle import GuardExceeded
 
 
@@ -245,7 +248,7 @@ def test_isospectral_pairs_come_out_sorted():
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
     pairs = an.isospectral_scan((3, 4, 5), kinds=("subalgebra", "ideal"))
     assert {p.kind for p in pairs} == {"subalgebra", "ideal"}
-    assert pairs == sorted(pairs, key=lambda pr: (
+    assert list(pairs) == sorted(pairs, key=lambda pr: (
         pr.q, pr.kind, fam_order[pr.left[0]], pr.left[1],
         fam_order[pr.right[0]], pr.right[1]))
 
@@ -257,3 +260,98 @@ def test_isospectral_scan_refuses_over_the_work_limit():
     with pytest.raises(GuardExceeded, match="^iso guard: "):
         an.isospectral_scan((41,))
     assert time.perf_counter() - t0 < 1
+
+
+def reference_isospectral_pairs(q_set, kinds=("subalgebra", "ideal"),
+                                families=None):
+    """The scan as a plain loop that builds every IsoPair into one list."""
+    families = list(families) if families else list(FAMILIES)
+    fam_order = {f: i for i, f in enumerate(FAMILIES)}
+    pairs = []
+    for q in sorted(q_set):
+        ctx = make_field(*an.factor_prime_power(q))
+        for kind in sorted(kinds):
+            members = []
+            for family in families:
+                for params in valid_params(family, ctx):
+                    z = evaluate(closed_form(family, params, kind, ctx),
+                                 params, ctx)
+                    members.append((fam_order[family], tuple(params), family,
+                                    z.coeffs))
+            members.sort(key=lambda mb: mb[:2])
+            groups = {}
+            placed = []
+            for _, params, family, coeffs in members:
+                group = groups.setdefault(coeffs, [])
+                placed.append((group, len(group), coeffs))
+                group.append((family, params))
+            for group, i, coeffs in placed:
+                for right in group[i + 1:]:
+                    pairs.append(an.IsoPair(group[i], right, kind, q, coeffs))
+    return pairs
+
+
+SMALL_FIELDS = (2, 3, 4, 5, 9)
+
+
+@pytest.mark.parametrize("kinds", [("subalgebra", "ideal"), ("subalgebra",),
+                                   ("ideal",)])
+def test_isospectral_scan_matches_the_reference_loop(kinds):
+    pairs = an.isospectral_scan(SMALL_FIELDS, kinds)
+    ref = reference_isospectral_pairs(SMALL_FIELDS, kinds)
+    assert len(ref) > 0 and len(pairs) == len(ref)
+    assert list(pairs) == ref
+
+
+def test_isospectral_scan_matches_the_reference_per_family():
+    for family in FAMILIES:
+        pairs = an.isospectral_scan(SMALL_FIELDS, families=[family])
+        ref = reference_isospectral_pairs(SMALL_FIELDS, families=[family])
+        assert len(pairs) == len(ref), family
+        assert list(pairs) == ref, family
+
+
+def test_isospectral_pairs_iterate_again():
+    pairs = an.isospectral_scan((5,))
+    first = list(pairs)
+    assert first and list(pairs) == first and len(pairs) == len(first)
+    assert iter(pairs) is not iter(pairs)
+    assert bool(pairs)
+    # a single instance has no partner
+    empty = an.isospectral_scan((2,), families=["L11"])
+    assert not empty and len(empty) == 0 and list(empty) == []
+
+
+def _reachable(root):
+    """Every container or fqzeta object reachable from root, root included."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        todo.extend(o for o in gc.get_referents(obj)
+                    if isinstance(o, (tuple, list, dict))
+                    or type(o).__module__.startswith("fqzeta."))
+    return seen.values()
+
+
+def test_isospectral_scan_holds_no_pair():
+    # q = 37 has 2.8 M pairs; built all at once they took 268 MB
+    pairs = an.isospectral_scan((37,))
+    assert len(pairs) == 2_797_591
+    assert not any(isinstance(o, an.IsoPair) for o in _reachable(pairs))
+
+
+def test_isospectral_scan_peak_memory():
+    # M6's ideal pairs over F_37 alone are 333,395 IsoPair objects, tens of
+    # MB if held; the groups take well under one.  tracemalloc slows the
+    # closed forms about sevenfold, hence one family and one kind.
+    tracemalloc.start()
+    try:
+        pairs = an.isospectral_scan((37,), kinds=("ideal",), families=["M6"])
+        assert len(pairs) > 300_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -426,6 +427,56 @@ def test_iso_cli(capsys):
                        "--families", "L11,L21,L22,L1,L2,L3,L4")
     assert code == EXIT_OK
     assert "L21" in out and "L22" in out
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def test_iso_output_bytes_pinned(tmp_path, capsys):
+    # digests of the output printed when every pair was built into one list
+    code, out, _ = run(capsys, "iso", "--q-set", "5,7", "--limit", "0")
+    assert code == EXIT_OK and out.count("\n") == 4366
+    assert _sha256(out) == \
+        "9c3e074b1536f3ed29a4f092aa5dc248bb12fa32ad15db8f6f1232032b9e2f0e"
+    path = tmp_path / "iso.jsonl"
+    code, out, _ = run(capsys, "iso", "--q-set", "5,7", "--limit", "3",
+                       "--out", str(path))
+    assert code == EXIT_OK and out.endswith("  ... 4362 more (raise --limit)\n")
+    assert _sha256(out) == \
+        "1eb648beaca02993274d8234679c2abac2ae26fe9d8c1fd91bf8a0ee8eb46cab"
+    assert _sha256(path.read_bytes()) == \
+        "0dd404eed1fc1176b0b1fb5b940221162d6cea5c54216b9a886d382f1fd01e3e"
+
+
+# Starts the command given in argv and prints its exit code and peak RSS in
+# KiB, as read by os.wait4.  Linux keeps a process's peak RSS across exec,
+# and a child forked from a large test process starts with that process's
+# pages, so the command is started from this small interpreter instead.
+_PEAK_RSS = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, ru = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), ru.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_iso_q37_streams_in_a_fresh_process(tmp_path):
+    # 2.8 M pairs, 52 lines printed: the pairs are counted, never held
+    # (268 MB peak RSS when they were)
+    src = str(Path(fqzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("FQZETA_BRANCH_TABLE", None)
+    path = tmp_path / "stdout.txt"
+    with open(path, "wb") as fh:
+        done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable,
+                               "-m", "fqzeta", "iso", "--q-set", "37"],
+                              env=env, stdout=fh, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    code, peak_kib = map(int, done.stderr.split())
+    assert code == EXIT_OK
+    assert _sha256(path.read_bytes()) == \
+        "ebc3fe70a8f139def31381d56d6c903df2630df4145bf3eecd03be92dc450e6f"
+    assert peak_kib / 1024 < 60, peak_kib
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,8 +18,8 @@ KINDS = ("ideal", "subalgebra")
 
 def test_templates_hold_nothing_of_an_algebra_or_field():
     # a template is read only when a plan is compiled, so clear both
-    for cache in (rrdf._template, rrdf._plan, rrdf._sums, oracle._template,
-                  oracle._plan):
+    for cache in (rrdf._template, rrdf._polys, rrdf._plan, rrdf._sums,
+                  oracle._template, oracle._plan):
         cache.cache_clear()
     # F_5, F_4, then F_5 again; parameters are field elements in each
     rows = 0
@@ -101,3 +101,14 @@ def test_plans_are_compiled_per_support_and_bound_per_algebra():
     for L in pair:
         _counts_match_scalar(L)
     assert _plan_misses() == misses
+
+
+def test_one_template_walk_per_cell_route_plan_miss():
+    # _sums and then _plan read a new support's conditions: one walk serves both
+    for cache in (rrdf._polys, rrdf._sums, rrdf._plan):
+        cache.cache_clear()
+    ctx = make_field(7, 1)
+    _counts_match_scalar(catalog("M6", (2, 3), ctx))
+    _counts_match_scalar(_diagonal_action(ctx, 4, 4))
+    misses = rrdf._plan.cache_info().misses
+    assert misses > 0 and rrdf._polys.cache_info().misses == misses
