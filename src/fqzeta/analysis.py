@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, isqrt
 
-from .gf import NotPrime, count_roots, is_prime, make_field
+from .gf import NotPrime, count_roots, field_of_order, is_prime, make_field
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
 from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
@@ -31,25 +31,6 @@ from .formulas import closed_form, evaluate, realized_q_polynomial, variety_poly
 
 class ClassificationViolation(AssertionError):
     pass
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k, or ValueError when q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = q
-    for d in range(2, isqrt(q) + 1):
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    m = q
-    while m > 1:
-        if m % p:
-            raise ValueError(f"{q} is not a prime power")
-        m //= p
-        k += 1
-    return p, k
 
 
 def threads_from_env() -> int:
@@ -100,7 +81,7 @@ class VerifyReport:
     def by_characteristic(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {}
         for r in self.rows:
-            p = factor_prime_power(r.q)[0]
+            p = field_of_order(r.q).p
             d = out.setdefault(p, {"PASS": 0, "FAIL": 0, "ANOMALY": 0})
             d[r.status] += 1
         return out
@@ -115,7 +96,7 @@ class VerifyReport:
 
 def _verify_item(item: tuple[str, tuple[int, ...], int, str]) -> VerifyRow:
     family, params, q, kind = item
-    ctx = make_field(*factor_prime_power(q))
+    ctx = field_of_order(q)
     clock = time.perf_counter
     t0 = clock()
     L = catalog(family, params, ctx)
@@ -144,7 +125,7 @@ def campaign_items(families, q_set, kinds):
     family at a time, so both enumerators' plan caches (keyed by structure-
     constant support, not by field) stay warm across its fields.  Every row
     runs the oracle, so a grid outside its guard raises GuardExceeded."""
-    fields = [make_field(*factor_prime_power(q)) for q in sorted(q_set)]
+    fields = [field_of_order(q) for q in sorted(q_set)]
     items = []
     for family in families:
         if family not in FAMILIES:
@@ -179,6 +160,21 @@ def verify_campaign(families=None, q_set=(2, 3, 5), kinds=("subalgebra", "ideal"
 
 N_MAX = 60  # largest modulus residue_profile classifies by
 P_MAX = 10**6  # largest bound primes_in sieves to
+# Largest porc work (degree times the sum of the sampled primes, about the
+# Horner steps of the root counts) residue_profile runs.  It admits 2x^3 + 1
+# up to --pmax 10^5 (1.4e9: `porc --pmax 100000` takes 11 s on a 2-core
+# host) and a degree of up to 348 at the default --pmax 10^4; x^20000 - 1 at
+# 10^4 (1.1e11) and 2x^3 + 1 at 10^6 (the same work) are refused.
+PORC_WORK_LIMIT = 2 * 10**9
+
+
+def check_porc_work(degree: int, primes) -> None:
+    """Raise GuardExceeded when profiling a polynomial of this degree over
+    these primes is above PORC_WORK_LIMIT; nothing is counted."""
+    total = sum(primes)
+    if degree * total > PORC_WORK_LIMIT:
+        raise GuardExceeded(f"porc guard: degree {degree} x prime sum {total} "
+                            f"is over the work limit of {PORC_WORK_LIMIT:.0e}")
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -226,11 +222,15 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     two sampled primes shows a single count value.  The exception list at N
     collects the primes that deviate from their class's majority count, so
     "consistent at N=1 except p=2" style statements can be read off directly.
+    An n_max above N_MAX, or work above PORC_WORK_LIMIT, raises
+    GuardExceeded before any root is counted.
     """
     if n_max > N_MAX:
         raise GuardExceeded(f"porc guard: modulus bound n_max (--nmax) capped at "
                             f"{N_MAX}, got {n_max}")
     int_coeffs = tuple(int(c) for c in int_coeffs)
+    primes = list(primes)
+    check_porc_work(len(int_coeffs) - 1, primes)
     samples = []
     for p in primes:
         ctx = make_field(p, 1)
@@ -392,8 +392,7 @@ def period_estimate(family: str, kind: str, q_set,
         realized = set()
         kept, skipped = [], []
         for q in q_sorted:
-            p, k = factor_prime_power(q)
-            ctx = make_field(p, k)
+            ctx = field_of_order(q)
             params = tuple(ctx.embed(t) for t in tup)
             if family == "M9" and not m9_param_ok(params[0], ctx):
                 skipped.append(q)
@@ -493,8 +492,7 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
     blocks = []
     for q in sorted(q_set):
-        p, k = factor_prime_power(q)
-        ctx = make_field(p, k)
+        ctx = field_of_order(q)
         for kind in sorted(kinds):
             members = []
             for family in families:

@@ -7,6 +7,12 @@ fully described by a FieldCtx; all operations are pure functions of the
 context and the operand encodings, so contexts can be shared freely across
 threads and processes.
 
+An order q names a field when it is a prime power p^k <= Q_LIMIT = 2^20.
+field_of_order(q), the one place that turns an order into its field, raises
+TooLarge for any q > Q_LIMIT before it looks at q's factors, and ValueError
+for a smaller q that is not a prime power.  make_field(p, k) also checks
+p^k <= Q_LIMIT before it tests p for primality.
+
 The extension modulus is always the lexicographically smallest monic
 irreducible polynomial of the right degree (coefficients compared low to
 high), which makes the encoding reproducible without external tables.
@@ -63,15 +69,18 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 @dataclass(frozen=True)
@@ -298,18 +307,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     minus_x[1] = (minus_x[1] - 1) % p
     if any(minus_x):
         return False
-    ell = 2
-    kk = k
-    prime_divs = set()
-    while ell * ell <= kk:
-        if kk % ell == 0:
-            prime_divs.add(ell)
-            while kk % ell == 0:
-                kk //= ell
-        ell += 1
-    if kk > 1:
-        prime_divs.add(kk)
-    for ell in prime_divs:
+    for ell in [d for d in range(2, k + 1) if k % d == 0 and is_prime(d)]:
         g = _xq_pow_mod(mod, p, k // ell)
         g = g[:]
         g[1] = (g[1] - 1) % p
@@ -323,11 +321,11 @@ def make_field(p: int, k: int) -> FieldCtx:
     """Deterministic context for F_(p^k); repeated calls share one object."""
     if k < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {k}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     q = p**k
     if q > Q_LIMIT:
-        raise TooLarge(f"q = {p}^{k} = {q} exceeds the {Q_LIMIT} cap")
+        raise TooLarge(f"q = {p}^{k} exceeds the {Q_LIMIT} cap")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if k == 1:
         return FieldCtx(p=p, k=1, q=q, modulus=(0, 1))
     for tail in itertools.product(range(p), repeat=k):
@@ -335,6 +333,19 @@ def make_field(p: int, k: int) -> FieldCtx:
         if _is_irreducible(cand, p):
             return FieldCtx(p=p, k=k, q=q, modulus=cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def field_of_order(q: int) -> FieldCtx:
+    """make_field's context for F_q; the module docstring says which q fail."""
+    if q > Q_LIMIT:
+        raise TooLarge(f"field order {q} exceeds the {Q_LIMIT} cap")
+    if q > 1:
+        p, k = _least_factor(q), 1
+        while p**k < q:
+            k += 1
+        if p**k == q:
+            return make_field(p, k)
+    raise ValueError(f"{q} is not a prime power")
 
 
 # -- univariate polynomials and exhaustive root counting ----------------

@@ -8,22 +8,16 @@ characteristic-2 instances of M12, which are recorded as anomalies.
 import time
 
 from fqzeta import analysis as an
-from fqzeta.analysis import factor_prime_power
 from fqzeta.formulas import (VarietyId, gaussian_binomial,
                              extra_variety_identities, variety_count,
                              zeta_formula)
-from fqzeta.gf import make_field
+from fqzeta.gf import field_of_order
 from fqzeta.liealg import (FAMILIES, catalog, is_nilpotent, is_solvable,
                            valid_params)
 from fqzeta.rrdf import (DiagonalType, cell_count, cell_size, diagonal_types,
                          enumerate_cell)
 
 FULL_Q_SET = (2, 3, 4, 5, 7, 8, 9, 11, 13)
-
-
-def field_of(q):
-    p, k = factor_prime_power(q)
-    return make_field(p, k)
 
 
 def verdict(num, ok, detail):
@@ -39,7 +33,7 @@ def test_criterion_1_three_way_agreement():
     counts = report.counts()
     fails = report.failures()
     anomalous = [r for r in report.rows if r.status == "ANOMALY"]
-    exclusion_ok = all(r.family == "M12" and factor_prime_power(r.q)[0] == 2
+    exclusion_ok = all(r.family == "M12" and field_of_order(r.q).p == 2
                        for r in anomalous)
     verdict(1, not fails and exclusion_ok,
             f"enumerate = oracle = formula on {counts['PASS']} rows, "
@@ -50,7 +44,7 @@ def test_criterion_1_three_way_agreement():
 def test_criterion_2_spot_polynomials():
     checks = []
     for q in (3, 5, 7):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         checks.append(zeta_formula("L22", (), "ideal", ctx).coeffs == (1, 1, 1))
         checks.append(zeta_formula("L4", (0,), "ideal", ctx).coeffs
                       == (1, 1 + q, 1, 1))
@@ -70,7 +64,7 @@ def test_criterion_3_per_cell_counts():
     cell_m7 = DiagonalType((0, 2), (2, 0))
     bad = []
     for q in (3, 5, 7):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         L2 = catalog("L2", (), ctx)
         if cell_count(L2, cell_l2, "ideal") != 0:
             bad.append(("L2", q))
@@ -96,7 +90,7 @@ def test_criterion_4_extra_variety_identities():
     violations = 0
     pairs = 0
     for q in odd_q:
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         for a in range(1, q):
             for b in range(1, q):
                 pairs += 1
@@ -127,7 +121,7 @@ def test_criterion_6_nilpotency_list():
                            ("M1", ()), ("M5", ()), ("M7", (0, 0))}
     bad = []
     for q in (3, 5, 7):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         for family in FAMILIES:
             for params in valid_params(family, ctx):
                 L = catalog(family, params, ctx)
@@ -162,7 +156,7 @@ def test_criterion_8_combinatorial_identities():
     mm_ok = True
     checked = 0
     for q in (2, 3, 4):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         for n in range(1, 5):
             for t in diagonal_types(n):
                 for M in enumerate_cell(t, ctx):

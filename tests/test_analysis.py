@@ -6,18 +6,9 @@ import pytest
 
 from fqzeta import analysis as an
 from fqzeta.formulas import closed_form, evaluate
-from fqzeta.gf import NotPrime, is_prime, make_field
+from fqzeta.gf import NotPrime, field_of_order, is_prime
 from fqzeta.liealg import FAMILIES, valid_params
 from fqzeta.oracle import GuardExceeded
-
-
-def test_factor_prime_power():
-    assert an.factor_prime_power(7) == (7, 1)
-    assert an.factor_prime_power(8) == (2, 3)
-    assert an.factor_prime_power(9) == (3, 2)
-    for bad in (1, 6, 12, 100):
-        with pytest.raises(ValueError):
-            an.factor_prime_power(bad)
 
 
 def test_threads_from_env(monkeypatch):
@@ -188,6 +179,26 @@ def test_porc_caps_are_library_guards():
         an.residue_profile([1, 1], [2, 3], n_max=an.N_MAX + 1)
 
 
+def test_porc_work_limit_admits_the_benchmark_and_the_defaults(monkeypatch):
+    # degree x the sum of the primes: the roots-iso v720 profile over
+    # [5, 40000] and `porc` with its defaults are admitted; the same
+    # polynomial up to P_MAX is refused before any root is counted
+    assert sum(an.primes_in(5, 40000)) == 79_170_661
+    an.check_porc_work(3, an.primes_in(5, 40000))
+    an.check_porc_work(3, an.primes_in(5, 10**4))
+    an.check_porc_work(4, an.primes_in(2, 10**4))
+    with pytest.raises(GuardExceeded, match="porc guard"):
+        an.check_porc_work(3, an.primes_in(5, an.P_MAX))
+    # a generator of primes is read once, for the check and for the counts
+    prof = an.residue_profile([-1, 0, 1], (p for p in (3, 5, 7)), n_max=2)
+    assert prof.samples == [(3, 2), (5, 2), (7, 2)]
+    counted = []
+    monkeypatch.setattr(an, "count_roots", lambda f, ctx: counted.append(f))
+    with pytest.raises(GuardExceeded, match="porc guard"):
+        an.residue_profile([-1] + [0] * 19999 + [1], an.primes_in(2, 10**4))
+    assert not counted
+
+
 def test_period_estimate_abelian_is_one():
     for kind in ("subalgebra", "ideal"):
         est = an.period_estimate("L1", kind, (3, 5, 7))
@@ -269,7 +280,7 @@ def reference_isospectral_pairs(q_set, kinds=("subalgebra", "ideal"),
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
     pairs = []
     for q in sorted(q_set):
-        ctx = make_field(*an.factor_prime_power(q))
+        ctx = field_of_order(q)
         for kind in sorted(kinds):
             members = []
             for family in families:

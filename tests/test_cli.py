@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fqzeta
-from fqzeta import analysis
+from fqzeta import analysis, cli
 from fqzeta.cli import (EXIT_GUARD, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                         EXIT_PARSE, display_from_record, main, parse_int_poly)
 from fqzeta.formulas import TABLE_VERSION
@@ -59,6 +59,34 @@ def test_zeta_json_round_trip(capsys):
     assert display_from_record(rec) in human
 
 
+@pytest.mark.parametrize("q", ["2", "4"])
+@pytest.mark.parametrize("kind", ["sub", "ideal"])
+def test_zeta_says_when_an_instance_is_flagged(q, kind, capsys):
+    # M12 in characteristic 2 is outside the closed forms: the human output
+    # says so in one line, the records carry it in meta.warnings as before
+    code, out, _ = run(capsys, "zeta", "M12", "--q", q, "--kind", kind)
+    assert code == EXIT_OK and "verdict: MATCH" in out
+    warned = [l for l in out.splitlines() if l.startswith("warning:")]
+    assert len(warned) == 1
+    assert warned[0].startswith("warning: char2-degenerate-constant")
+    code, out, _ = run(capsys, "zeta", "M12", "--q", q, "--kind", kind, "--json")
+    recs = jsonl(out)
+    assert code == EXIT_OK and "warning:" not in out
+    assert [r["meta"]["warnings"] for r in recs[:3]] == \
+        [["char2-degenerate-constant"]] * 3
+    assert recs[3]["verdict"] == "MATCH" and "meta" not in recs[3]
+
+
+def test_zeta_unflagged_instance_has_no_warning(capsys):
+    for kind in ("sub", "ideal"):
+        code, out, _ = run(capsys, "zeta", "M12", "--q", "3", "--kind", kind)
+        assert code == EXIT_OK and "warning" not in out
+        code, out, _ = run(capsys, "zeta", "M12", "--q", "3", "--kind", kind,
+                           "--json")
+        assert code == EXIT_OK
+        assert all("warnings" not in r.get("meta", {}) for r in jsonl(out))
+
+
 def test_zeta_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "zeta", "M99", "--q", "5")
     assert code == EXIT_PARSE and "unknown family" in err
@@ -99,12 +127,16 @@ def test_zeta_guard_violations_exit_3(capsys):
     ["period", "--q-set", "2097152"],
 ])
 def test_field_order_over_cap_exit_3(argv, capsys):
-    # 2^21 is a prime power past the 2^20 field cap: a guard, not a parse error
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_GUARD
-    assert err.count("\n") == 1 and err.startswith("error:") and not out
-    assert time.perf_counter() - t0 < 2
+    # 2^21 is a prime power past the 2^20 field cap: a guard, not a parse
+    # error; so are the prime 2^61 - 1 and the composite 2^21 + 1, refused
+    # before any trial division
+    for q in (2097152, 2**61 - 1, 2**21 + 1):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *[str(q) if a == "2097152" else a
+                                       for a in argv])
+        assert code == EXIT_GUARD, q
+        assert err.count("\n") == 1 and err.startswith("error:") and not out
+        assert time.perf_counter() - t0 < 2, q
 
 
 def _table_with(tmp_path, old, new):
@@ -385,6 +417,25 @@ def test_porc_caps_refused_before_any_root(capsys, monkeypatch):
         code, out, err = run(capsys, "porc", *argv)
         assert code == EXIT_GUARD, argv
         assert err.count("\n") == 1 and err.startswith("error: ") and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "x^20000-1"],  # 1.1e11 at the default --pmax 10^4
+    ["--pmax", "1000000"],  # v720: the same work, admitted by P_MAX
+    ["--poly", "x^1000000000"],  # its coefficient list alone would not fit
+])
+def test_porc_work_over_the_limit_exit_3(argv, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refused too late")
+
+    monkeypatch.setattr(analysis, "count_roots", refuse)
+    monkeypatch.setattr(cli, "_dense", refuse)  # builds the coefficient list
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "porc", *argv)
+    assert code == EXIT_GUARD
+    assert err.count("\n") == 1 and err.startswith("error: porc guard:")
+    assert not out
+    assert time.perf_counter() - t0 < 2
 
 
 def test_porc_nmax_zero_exit_2(capsys):

@@ -12,18 +12,12 @@ from fqzeta.formulas import (_COVER_FIELDS, BranchTableError, QPoly,
                              extra_variety_identities,
                              variety_count, variety_poly, variety_poly_int,
                              zeta_formula)
-from fqzeta.gf import make_field
+from fqzeta.gf import field_of_order, make_field
 from fqzeta.liealg import FAMILIES, catalog, valid_params
 from fqzeta.oracle import zeta_oracle
 
 ODD_PRIME_POWERS_LE_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31,
                           37, 41, 43, 47, 49]
-
-
-def field_of(q):
-    from fqzeta.analysis import factor_prime_power
-    p, k = factor_prime_power(q)
-    return make_field(p, k)
 
 
 def test_gaussian_binomial_against_subspace_oracle():
@@ -52,12 +46,12 @@ def test_gaussian_binomial_symmetry():
 
 def test_variety_counts_examples():
     for q in (2, 3, 4, 5, 7, 9):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         assert variety_count(VarietyId("V3", (0,)), ctx) == 1
     assert variety_count(VarietyId("V4", (1,)), make_field(5, 1)) == 2
     # |V13(0)| = 2 in every characteristic: x^2+x = x(x+1)
     for q in (2, 3, 4, 5, 7, 8, 9, 11):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         assert variety_count(VarietyId("V13", (0,)), ctx) == 2
 
 
@@ -112,7 +106,7 @@ def test_branch_guards_partition_every_family():
                           for k in ("subalgebra", "ideal")}
     # F_4 meets every char-2 combination of a=0, a=1, b=0 and a=b (= a=-b)
     for q in (2, 3, 4, 5):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         for (family, kind), branches in table.items():
             for params in valid_params(family, ctx):
                 hits = [br for br in branches if br.holds(params, ctx)]
@@ -177,7 +171,7 @@ def test_extra_variety_identity_examples():
 
 def test_extra_variety_identities_small_fields():
     for q in (3, 5, 9):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         for a in range(1, q):
             for b in range(1, q):
                 assert extra_variety_identities(a, b, ctx).all_hold(), (q, a, b)
@@ -187,7 +181,7 @@ def test_intro_and_body_groupings_agree():
     # |V6_2(0,b)| = |V3(b)| and |V7_2(0,b)| = |V4(b)|: the two ways of
     # writing the a=0 rows count the same roots
     for q in (2, 3, 4, 5, 7, 9, 11, 13, 16, 25):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         for b in range(1, ctx.q):
             assert variety_count(VarietyId("V6_2", (0, b)), ctx) == \
                 variety_count(VarietyId("V3", (b,)), ctx)
@@ -333,7 +327,7 @@ def test_cover_fields_meet_every_atom_pattern(arity, sizes):
         seen[p % 2] |= _atom_patterns(arity, make_field(p, k))
     assert (len(seen[0]), len(seen[1])) == sizes
     for q in (2, 3, 7, 8, 9, 11, 13, 16, 25, 27, 32):
-        ctx = field_of(q)
+        ctx = field_of_order(q)
         assert _atom_patterns(arity, ctx) <= seen[ctx.p % 2], q
 
 

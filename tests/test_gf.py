@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from math import isqrt
+
+from fqzeta import gf
 from fqzeta.gf import (BLOCK, Q_LIMIT, TABLE_LIMIT, DegreeZero,
                        DivisionByZero, FieldCtx, NotPrime, TooLarge, UniPoly,
-                       count_roots, is_prime, make_field)
+                       count_roots, field_of_order, is_prime, make_field)
 
 
 def brute_poly_eval_fp(coeffs, x, p):
@@ -76,6 +79,72 @@ def test_construction_errors():
         make_field(5, 0)
     with pytest.raises(TooLarge):
         make_field(2, 21)
+
+
+def _reference_field(q):
+    """The order-to-field rule as it was split before field_of_order: factor
+    q by trial division up to isqrt(q), then make_field(p, k)."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = q
+    for d in range(2, isqrt(q) + 1):
+        if q % d == 0:
+            p = d
+            break
+    k = 0
+    m = q
+    while m > 1:
+        if m % p:
+            raise ValueError(f"{q} is not a prime power")
+        m //= p
+        k += 1
+    return make_field(p, k)
+
+
+def _outcome(fn, q):
+    try:
+        return fn(q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_field_of_order_matches_the_reference():
+    # every order up to 5000, every proper prime power up to the cap, and the
+    # orders next to the cap: the same shared context, or the same error
+    powers = {p**k for p in range(2, isqrt(Q_LIMIT) + 1) if is_prime(p)
+              for k in range(2, 21) if p**k <= Q_LIMIT}
+    orders = sorted(set(range(-2, 5001)) | powers | {Q_LIMIT - 3, Q_LIMIT})
+    assert Q_LIMIT in powers and len(powers) == 242
+    for q in orders:
+        got, want = _outcome(field_of_order, q), _outcome(_reference_field, q)
+        assert got is want if isinstance(want, FieldCtx) else got == want, q
+
+
+def test_field_of_order_factors_prime_powers():
+    for q, pk in {7: (7, 1), 8: (2, 3), 9: (3, 2)}.items():
+        ctx = field_of_order(q)
+        assert (ctx.p, ctx.k) == pk and ctx.q == q
+    for bad in (1, 6, 12, 100):
+        with pytest.raises(ValueError):
+            field_of_order(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: field_of_order(2**61 - 1),  # prime: trial division would not end
+    lambda: field_of_order(2**21 + 1),  # composite, still over the cap
+    lambda: make_field(2**61 - 1, 1),
+    lambda: make_field(2, 20000),  # q has 6021 digits, too many to print
+    lambda: make_field(6, 30),  # the cap is checked before primality
+])
+def test_orders_over_the_cap_are_refused_at_once(call, monkeypatch):
+    def factor(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(gf, "_least_factor", factor)  # is_prime's loop too
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="exceeds the 1048576 cap"):
+        call()
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_construction_is_deterministic():

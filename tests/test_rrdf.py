@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from test_basis_invariance import _rank, conjugate
 
 from fqzeta import rrdf
-from fqzeta.analysis import factor_prime_power
 from fqzeta.formulas import (VarietyId, closed_form, evaluate,
                              gaussian_binomial, variety_count)
-from fqzeta.gf import make_field
+from fqzeta.gf import field_of_order, make_field
 from fqzeta.liealg import FAMILIES, catalog, from_structure_constants, valid_params
 from fqzeta.rrdf import (CHUNK, DiagonalType, DimensionMismatch, cell_count,
                          cell_count_scalar, cell_size, diagonal_types,
@@ -161,11 +160,9 @@ def test_ideal_implies_subalgebra():
 def test_every_subspace_subalgebra_family():
     # [e1, ei] = ei for i >= 2 makes every subspace a subalgebra, so the
     # subalgebra zeta polynomial collapses to the abelian one
-    from fqzeta.analysis import factor_prime_power
     for n in (2, 3, 4, 5):
         for q in (2, 3, 4, 5):
-            p, k = factor_prime_power(q)
-            ctx = make_field(p, k)
+            ctx = field_of_order(q)
             sc = [[[0] * n for _ in range(n)] for _ in range(n)]
             for i in range(1, n):
                 sc[0][i][i] = 1
@@ -284,7 +281,7 @@ def _check_root_table(ctx, pairs):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_root_table_matches_brute_force(q):
-    ctx = make_field(*factor_prime_power(q))
+    ctx = field_of_order(q)
     _check_root_table(ctx, [(b, c) for b in range(q) for c in range(q)])
 
 
@@ -304,7 +301,7 @@ def dense_conjugates(draw):
     # dense, unlike the catalog's; n <= 3 over F_8 and F_9 keeps the scalar
     # reference fast
     q = draw(st.sampled_from((4, 8, 9)))
-    ctx = make_field(*factor_prime_power(q))
+    ctx = field_of_order(q)
     families = [f for f, (n, _) in FAMILIES.items()
                 if n <= (4 if q == 4 else 3) and valid_params(f, ctx)]
     family = draw(st.sampled_from(families))
