@@ -168,6 +168,28 @@ P_MAX = 10**6  # largest bound primes_in sieves to
 PORC_WORK_LIMIT = 2 * 10**9
 
 
+# The root counts of the last integer polynomial _roots_mod counted, as
+# (coefficients, {p: count}).  A different polynomial replaces the pair
+# whole, so one polynomial's counts are held at a time: at most one per prime
+# p <= gf.Q_LIMIT = 2^20 (82,025), and pi(P_MAX) = 78,498 for a porc profile.
+_held_roots: tuple[tuple[int, ...], dict[int, int]] = ((), {})
+
+
+def _roots_mod(int_coeffs: tuple[int, ...], p: int) -> int:
+    """Number of roots in F_p of the integer polynomial int_coeffs (low
+    degree first), by gf.count_roots; a count of the last polynomial is
+    reused."""
+    global _held_roots
+    # read the pair once: a count is only ever stored with its own polynomial
+    held, counts = _held_roots
+    if held != int_coeffs:
+        counts = {}
+        _held_roots = (int_coeffs, counts)
+    if p not in counts:
+        counts[p] = count_roots([c % p for c in int_coeffs], make_field(p, 1))
+    return counts[p]
+
+
 def check_porc_work(degree: int, primes) -> None:
     """Raise GuardExceeded when profiling a polynomial of this degree over
     these primes is above PORC_WORK_LIMIT; nothing is counted."""
@@ -223,7 +245,11 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     collects the primes that deviate from their class's majority count, so
     "consistent at N=1 except p=2" style statements can be read off directly.
     An n_max above N_MAX, or work above PORC_WORK_LIMIT, raises
-    GuardExceeded before any root is counted.
+    GuardExceeded before any root is counted.  The root counts of the last
+    profiled polynomial are kept, and a later count of the same polynomial
+    mod a kept prime (a check_v720_classification after a profile of
+    2x^3 + 1) reads them; a different polynomial replaces them, so one
+    polynomial's counts are held, at most one per prime p <= 2^20.
     """
     if n_max > N_MAX:
         raise GuardExceeded(f"porc guard: modulus bound n_max (--nmax) capped at "
@@ -231,10 +257,7 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     int_coeffs = tuple(int(c) for c in int_coeffs)
     primes = list(primes)
     check_porc_work(len(int_coeffs) - 1, primes)
-    samples = []
-    for p in primes:
-        ctx = make_field(p, 1)
-        samples.append((p, count_roots([c % p for c in int_coeffs], ctx)))
+    samples = [(p, _roots_mod(int_coeffs, p)) for p in primes]
     profiles: dict[int, ModulusProfile] = {}
     smallest = None
     for n in range(1, n_max + 1):
@@ -317,14 +340,15 @@ def check_v720_classification(primes) -> V720Report:
 
     For p >= 5 the count is 1 when p = 2 mod 3, and for p = 1 mod 3 it is
     3 or 0 according to whether p = a^2 + 27 b^2 is solvable.  Any mismatch
-    is an implementation bug, not data: the scan raises.
+    is an implementation bug, not data: the scan raises.  After a
+    residue_profile of 2x^3 + 1 (coefficients (1, 0, 0, 2)) the counts of
+    its primes are read from that profile's kept counts, not counted again.
     """
     rows = []
     for p in primes:
         if p < 5 or not is_prime(p):
             raise ValueError(f"classification needs primes >= 5, got {p}")
-        ctx = make_field(p, 1)
-        cnt = count_roots([1, 0, 0, 2], ctx)
+        cnt = _roots_mod((1, 0, 0, 2), p)
         if p % 3 == 2:
             rep = None
             expected = 1

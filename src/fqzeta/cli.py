@@ -288,10 +288,15 @@ def _parse_terms(text: str) -> dict[int, int]:
         sign, num, x, exp = m.groups()
         if (num is None and x is None) or (seen and not sign):
             raise CliError(f"cannot parse polynomial {text!r}", EXIT_PARSE)
-        c = int(num) if num else 1
+        try:
+            c = int(num) if num else 1
+            e = 0 if x is None else (int(exp) if exp else 1)
+        except ValueError:  # over the interpreter's integer digit limit
+            raise CliError(f"cannot parse polynomial: a number has more than "
+                           f"{sys.get_int_max_str_digits()} digits",
+                           EXIT_PARSE) from None
         if sign == "-":
             c = -c
-        e = 0 if x is None else (int(exp) if exp else 1)
         coeffs[e] = coeffs.get(e, 0) + c
         seen = True
         pos = m.end()

@@ -6,7 +6,7 @@ import pytest
 
 from fqzeta import analysis as an
 from fqzeta.formulas import closed_form, evaluate
-from fqzeta.gf import NotPrime, field_of_order, is_prime
+from fqzeta.gf import NotPrime, count_roots, field_of_order, is_prime, make_field
 from fqzeta.liealg import FAMILIES, valid_params
 from fqzeta.oracle import GuardExceeded
 
@@ -130,6 +130,69 @@ def test_v720_classification_rejects_small_primes():
         an.check_v720_classification([3])
 
 
+def reference_roots(int_coeffs, p):
+    """The root count of an integer polynomial mod p with nothing kept: the
+    loop residue_profile and check_v720_classification ran before
+    analysis._roots_mod."""
+    return count_roots([c % p for c in int_coeffs], make_field(p, 1))
+
+
+V720 = (1, 0, 0, 2)
+# negative coefficients; 5x^3 + 1 differs from V720 only in its leading
+# coefficient; leading coefficients divided by sampled primes (5,
+# -5998 = -2 * 2999, 35 = 5 * 7); 60x^2 - 30 vanishes mod 2, 3 and 5
+OTHERS = [(-1, 0, 1), (1, 0, 0, 5), (3, -7, 0, -5998), (6, -5, 1, 0, 0, 35),
+          (-30, 0, 60)]
+
+
+def porc_session(primes):
+    """Profiles interleaved as A, B, A, C, ..., each followed by a v720 check
+    over all its primes, then a check of one prime at a time."""
+    odd = [p for p in primes if p >= 5]
+    out = []
+    for coeffs in (V720, OTHERS[0], V720, *OTHERS[1:], V720):
+        out.append(an.residue_profile(coeffs, odd if coeffs == V720 else primes))
+        out.append(an.check_v720_classification(odd))
+    out.append([an.check_v720_classification([p]) for p in odd])
+    return out
+
+
+def test_kept_root_counts_match_the_reference_loop(monkeypatch, no_held_roots):
+    primes = an.primes_in(2, 3000)
+    kept = porc_session(primes)
+    for prof in kept[:-1:2]:
+        assert prof.samples == [(p, reference_roots(prof.int_coeffs, p))
+                                for p, _ in prof.samples]
+    with monkeypatch.context() as m:
+        m.setattr(an, "_roots_mod", reference_roots)
+        assert porc_session(primes) == kept
+
+
+def test_only_the_last_polynomials_counts_are_held(no_held_roots):
+    primes = an.primes_in(2, 3000)
+    an.residue_profile(V720, [p for p in primes if p >= 5])
+    an.residue_profile(OTHERS[1], primes)
+    assert an._held_roots == (OTHERS[1], {p: reference_roots(OTHERS[1], p)
+                                          for p in primes})
+
+
+def test_v720_check_after_its_profile_counts_nothing(monkeypatch, no_held_roots):
+    primes = an.primes_in(5, 3000)
+    real, counted = an.count_roots, []
+
+    def count_roots(f, ctx):
+        counted.append(ctx.p)
+        return real(f, ctx)
+
+    monkeypatch.setattr(an, "count_roots", count_roots)
+    prof = an.residue_profile(V720, primes)
+    assert counted == primes
+    counted.clear()
+    rep = an.check_v720_classification(primes)
+    assert counted == []
+    assert [(r.p, r.count) for r in rep.rows] == prof.samples
+
+
 def test_residue_profile_x2_minus_1():
     prof = an.residue_profile([-1, 0, 1], an.primes_in(2, 100), n_max=4,
                               label="x^2-1")
@@ -179,7 +242,8 @@ def test_porc_caps_are_library_guards():
         an.residue_profile([1, 1], [2, 3], n_max=an.N_MAX + 1)
 
 
-def test_porc_work_limit_admits_the_benchmark_and_the_defaults(monkeypatch):
+def test_porc_work_limit_admits_the_benchmark_and_the_defaults(monkeypatch,
+                                                               no_held_roots):
     # degree x the sum of the primes: the roots-iso v720 profile over
     # [5, 40000] and `porc` with its defaults are admitted; the same
     # polynomial up to P_MAX is refused before any root is counted

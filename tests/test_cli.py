@@ -370,6 +370,21 @@ def test_porc_v720(capsys):
     assert "no consistent modulus" in out
 
 
+def test_porc_v720_counts_each_prime_once(capsys, monkeypatch, no_held_roots):
+    # the classification check reads the counts the profile made
+    real, counted = analysis.count_roots, []
+
+    def count_roots(f, ctx):
+        counted.append(ctx.p)
+        return real(f, ctx)
+
+    monkeypatch.setattr(analysis, "count_roots", count_roots)
+    code, out, _ = run(capsys, "porc", "--poly", "v720", "--pmax", "2000")
+    assert code == EXIT_OK
+    assert "classification check: PASS for all 301 primes" in out
+    assert counted == analysis.primes_in(5, 2000)
+
+
 def test_porc_x2_minus_1(capsys):
     code, out, _ = run(capsys, "porc", "--poly", "x^2-1", "--pmax", "100")
     assert code == EXIT_OK
@@ -405,7 +420,7 @@ def test_porc_nmax_over_cap_exit_3(capsys):
     assert err.count("\n") == 1 and "--nmax" in err and not out
 
 
-def test_porc_caps_refused_before_any_root(capsys, monkeypatch):
+def test_porc_caps_refused_before_any_root(capsys, monkeypatch, no_held_roots):
     # the caps live in analysis; the CLI maps them to exit 3, also when the
     # sample is empty, and counts no root first
     def count_roots(*args):
@@ -424,7 +439,8 @@ def test_porc_caps_refused_before_any_root(capsys, monkeypatch):
     ["--pmax", "1000000"],  # v720: the same work, admitted by P_MAX
     ["--poly", "x^1000000000"],  # its coefficient list alone would not fit
 ])
-def test_porc_work_over_the_limit_exit_3(argv, capsys, monkeypatch):
+def test_porc_work_over_the_limit_exit_3(argv, capsys, monkeypatch,
+                                        no_held_roots):
     def refuse(*args):
         raise AssertionError("refused too late")
 
@@ -458,6 +474,16 @@ def test_porc_terms_need_an_operator_exit_2(poly, capsys):
     code, out, err = run(capsys, "porc", "--poly", poly, "--pmax", "50")
     assert code == EXIT_PARSE
     assert err.count("\n") == 1 and err.startswith("error: ") and not out
+
+
+@pytest.mark.parametrize("poly", ["x^" + "9" * 5000, "9" * 5000 + "x+1"],
+                         ids=["exponent", "coefficient"])
+def test_porc_numbers_over_the_digit_limit_exit_2(poly, capsys):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    code, out, err = run(capsys, "porc", "--poly", poly)
+    assert code == EXIT_PARSE
+    assert err.count("\n") == 1 and not out
+    assert err.startswith("error: cannot parse polynomial: a number has more")
 
 
 def test_parse_int_poly_spaced_terms():
