@@ -303,6 +303,11 @@ def cornacchia_27(p: int) -> tuple[int, int] | None:
     """Some (a, b) with a^2 + 27 b^2 = p, else None; scans b upward."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    return _a2_plus_27b2(p)
+
+
+def _a2_plus_27b2(p: int) -> tuple[int, int] | None:
+    """cornacchia_27's scan, for a p already known to be prime."""
     b = 0
     while 27 * b * b <= p:
         rest = p - 27 * b * b
@@ -349,12 +354,8 @@ def check_v720_classification(primes) -> V720Report:
         if p < 5 or not is_prime(p):
             raise ValueError(f"classification needs primes >= 5, got {p}")
         cnt = _roots_mod((1, 0, 0, 2), p)
-        if p % 3 == 2:
-            rep = None
-            expected = 1
-        else:
-            rep = cornacchia_27(p)
-            expected = 3 if rep else 0
+        rep = None if p % 3 == 2 else _a2_plus_27b2(p)  # p was tested prime above
+        expected = 1 if p % 3 == 2 else 3 if rep else 0
         if cnt != expected:
             raise ClassificationViolation(
                 f"p={p}: counted {cnt} roots of 2x^3+1, classification says "

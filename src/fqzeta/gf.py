@@ -17,24 +17,22 @@ The extension modulus is always the lexicographically smallest monic
 irreducible polynomial of the right degree (coefficients compared low to
 high), which makes the encoding reproducible without external tables.
 
+Except for a prime field's arithmetic mod p, a field is read through one
+triple of int32 tables on the least generator g of F_q^*, n = q - 1, with
+Z = 3n - 2 as the log of 0: exp[i] = g^(i mod n) for i < 2n; log[g^i] = i,
+log[0] = Z; zech[i] = log(1 + g^(i mod n)) for i < Z (Z where 1 + g^i = 0),
+and zech[Z] = log(1 + 0) = 0.  A sum of two logs indexes exp, and a log
+difference plus n indexes zech, with no reduction mod n.  A field builds its
+triple on first use; the last _LOG_FIELDS fields to do so keep theirs.  The
+digit routines are the reference the tests check the triple against.
+
 A field with q <= TABLE_LIMIT = 256 also has dense lookup tables, built once
 per field by FieldCtx.tables(), the only place either enumerator gets them:
 read-only uint16 numpy arrays add, mul and sub, flat, with the value at
 (x, y) at index x*q + y, then neg, inv (inv[0] = 0) and the elements 0..q-1.
 uint16 is exact for both uses: every value is an element below 256, and every
 flat index x*q + y is at most 255*256 + 255 = 65535, so an index computed in
-uint16 from uint16 rows of elements never wraps.  The scalar add, neg and mul
-of extension fields read nested-list copies of the same tables.
-
-count_roots scans the whole field.  On a prime field it evaluates the
-polynomial in blocks of BLOCK consecutive elements, by Horner's rule on int64
-numpy vectors updated in place, reducing mod p only once every two steps; since
-p <= Q_LIMIT = 2^20, entries stay below p^3 < 2^63 between reductions.  A
-reduction is v - p * (v // p), exact for v >= 0, because numpy's floor
-division by a scalar is several times faster than its remainder.  Each block's
-arrays are 64 KiB: they stay in cache, and they sit below malloc's mmap
-threshold, so a scan reuses heap memory instead of mapping (and faulting in)
-fresh pages on every call.
+uint16 from uint16 rows of elements never wraps.
 """
 
 from __future__ import annotations
@@ -49,8 +47,11 @@ import numpy as np
 Q_LIMIT = 1 << 20
 # Largest q with dense lookup tables (see the module docstring).
 TABLE_LIMIT = 256
-# Field elements per block of the prime-field root scan: 64 KiB int64 arrays.
+# Field elements per block of a root scan: 64 KiB int64 arrays.
 BLOCK = 1 << 13
+# Most fields that keep their log tables at once (see FieldCtx._logs).
+_LOG_FIELDS = 4
+_held: list[FieldCtx] = []  # those fields, oldest first
 
 
 class NotPrime(ValueError):
@@ -92,20 +93,16 @@ class FieldCtx:
     q: int
     modulus: tuple[int, ...]  # monic, degree k, coefficients low to high
 
+    def __reduce__(self):  # pickle the field, not its cached tables
+        return FieldCtx, (self.p, self.k, self.q, self.modulus)
+
     # -- element codec -------------------------------------------------
 
     def digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            x, r = divmod(x, self.p)
-            out.append(r)
-        return out
+        return [x // self.p**i % self.p for i in range(self.k)]
 
     def undigits(self, ds) -> int:
-        x = 0
-        for d in reversed(ds):
-            x = x * self.p + d
-        return x
+        return sum(d * self.p**i for i, d in enumerate(ds))
 
     def embed(self, n: int) -> int:
         """Reduce an integer literal into the prime subfield."""
@@ -115,16 +112,16 @@ class FieldCtx:
         return range(self.q)
 
     # -- arithmetic ----------------------------------------------------
-    #
-    # Extension fields with q <= TABLE_LIMIT read the list copies of the
-    # tables in _lists; the digit routines serve larger extension fields and
-    # are the reference the tables are tested against.
 
     def add(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x + y) % self.p
-        lists = self._lists
-        return lists[0][x][y] if lists else self._add_digits(x, y)
+        if not (x and y):
+            return x or y
+        exp, log, zech = self._logs
+        lx = log[x]
+        s = zech[log[y] - lx + self.q - 1]  # log(1 + y/x)
+        return 0 if s == len(zech) - 1 else exp[lx + s]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -132,22 +129,24 @@ class FieldCtx:
     def neg(self, x: int) -> int:
         if self.k == 1:
             return (-x) % self.p
-        lists = self._lists
-        return lists[2][x] if lists else self._neg_digits(x)
+        if self.p == 2 or not x:
+            return x
+        exp, log, _ = self._logs
+        return exp[log[x] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x * y) % self.p
-        lists = self._lists
-        return lists[1][x][y] if lists else self._mul_digits(x, y)
+        if not (x and y):
+            return 0
+        exp, log, _ = self._logs
+        return exp[log[x] + log[y]]
 
     def _add_digits(self, x: int, y: int) -> int:
-        p = self.p
-        return self.undigits([(a + b) % p for a, b in zip(self.digits(x), self.digits(y))])
+        return self.undigits((a + b) % self.p for a, b in zip(self.digits(x), self.digits(y)))
 
     def _neg_digits(self, x: int) -> int:
-        p = self.p
-        return self.undigits([(-a) % p for a in self.digits(x)])
+        return self.undigits((-a) % self.p for a in self.digits(x))
 
     def _mul_digits(self, x: int, y: int) -> int:
         return self.undigits(_poly_mulmod_fp(self.digits(x), self.digits(y),
@@ -158,28 +157,32 @@ class FieldCtx:
             raise DivisionByZero(f"0 has no inverse in F_{self.q}")
         if self.k == 1:
             return pow(x, self.p - 2, self.p)
-        return self.pow(x, self.q - 2)
+        exp, log, _ = self._logs
+        return exp[self.q - 1 - log[x]]
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(x), -e)
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        if self.k == 1 or not x:
+            return pow(x, e, self.p)
+        exp, log, _ = self._logs
+        return exp[log[x] * e % (self.q - 1)]
+
+    @cached_property
+    def _logs(self):
+        """(exp, log, zech) as memoryviews of int32 arrays (an index reads a
+        Python int; .obj is the array); evicts the oldest of _held's fields."""
+        _held.append(self)
+        if len(_held) > _LOG_FIELDS:
+            vars(_held.pop(0)).pop("_logs", None)
+        return tuple(t.data for t in _log_tables(self))
 
     # -- dense tables for vectorised consumers -------------------------
 
     @cached_property
     def _tables(self):
-        """tables()'s arrays, built once; None for q > TABLE_LIMIT.  MUL and
-        INV are read off the log/antilog tables of a generator of F_q^*
-        (q - 1 digit products); ADD and NEG come from one numpy sum over the
-        q x k matrix of base-p digits, and SUB from ADD and NEG."""
+        """tables()'s arrays, built once; None for q > TABLE_LIMIT.  MUL and INV
+        come from exp and log, ADD and NEG from base-p digits, SUB from both."""
         q, p = self.q, self.p
         if q > TABLE_LIMIT:
             return None
@@ -187,41 +190,16 @@ class FieldCtx:
         digits = np.array([self.digits(a) for a in range(q)])  # row a: digits of a
         add = ((digits[:, None, :] + digits[None, :, :]) % p * place).sum(axis=2)
         neg = ((p - digits) % p * place).sum(axis=1)
-        power = np.array(self._generator_powers())  # power[i] = g^i
-        log = np.zeros(q, dtype=np.int64)  # log[g^i] = i; log[0] is unused
-        log[power] = np.arange(q - 1)
+        exp, log = self._logs[0].obj, self._logs[1].obj[1:]
         mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = power[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        mul[1:, 1:] = exp[log[:, None] + log[None, :]]
         inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = power[-log[1:] % (q - 1)]
+        inv[1:] = exp[q - 1 - log]
         out = tuple(t.astype(np.uint16).ravel() for t in (
             add, mul, add[:, neg], neg, inv, np.arange(q)))
         for t in out:
             t.flags.writeable = False
         return out
-
-    def _generator_powers(self) -> list[int]:
-        """[g^0, ..., g^(q-2)] for the least generator g of F_q^*, by the
-        digit routines."""
-        for g in range(1, self.q):
-            powers = [1]
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = self._mul_digits(x, g)
-            if len(powers) == self.q - 1:
-                return powers
-        raise AssertionError("F_q^* is cyclic")  # unreachable
-
-    @cached_property
-    def _lists(self):
-        """(ADD, MUL, NEG) of tables() as nested lists, for the scalar ops;
-        None for q > TABLE_LIMIT."""
-        if self._tables is None:
-            return None
-        q = self.q
-        add, mul, _, neg, _, _ = self._tables
-        return add.reshape(q, q).tolist(), mul.reshape(q, q).tolist(), neg.tolist()
 
     def tables(self):
         """(ADD, MUL, SUB, NEG, INV, ELEMENTS), the field's lookup tables in
@@ -235,85 +213,95 @@ class FieldCtx:
 # -- field construction -----------------------------------------------
 
 
+def _poly_rem_fp(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, b[-1] != 0, as len(b) - 1 coefficients low to high."""
+    a, inv, d = list(a), pow(b[-1], p - 2, p), len(b) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j, bj in enumerate(b):
+                a[i - d + j] = (a[i - d + j] - c * bj) % p
+    return (a + [0] * d)[:d]
+
+
 def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
+    """A gcd of a and b != 0 over F_p, low to high, with no leading zeros."""
     while any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        # a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            c = a[-1] * inv_lead % p
-            off = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[off + i] = (a[off + i] - c * bi) % p
-        a, b = b, a
+        while not b[-1]:
+            b = b[:-1]
+        a, b = b, _poly_rem_fp(a, b, p)
     return a
 
 
 def _poly_mulmod_fp(a, b, mod, p):
-    k = len(mod) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for i in range(k):
-                prod[d - k + i] = (prod[d - k + i] - c * mod[i]) % p
-    out = prod[:k]
-    out += [0] * (k - len(out))
-    return out
+    return _poly_rem_fp(prod, mod, p)
 
 
-def _xq_pow_mod(mod: list[int], p: int, e: int) -> list[int]:
-    """x^(p^e) reduced mod the given monic polynomial over F_p."""
-    k = len(mod) - 1
-    r = [0, 1] if k > 1 else [0]
-    r += [0] * (k - len(r))
-    for _ in range(e):
-        # raise to the p-th power by square-and-multiply
-        acc = [1] + [0] * (k - 1)
-        base = r
-        n = p
-        while n:
-            if n & 1:
-                acc = _poly_mulmod_fp(acc, base, mod, p)
-            base = _poly_mulmod_fp(base, base, mod, p)
-            n >>= 1
-        r = acc
+def _powmod(a: list[int], e: int, mod, p: int) -> list[int]:
+    """a^e reduced mod the given monic polynomial over F_p, low to high."""
+    r = [1] + [0] * (len(mod) - 2)
+    while e:
+        if e & 1:
+            r = _poly_mulmod_fp(r, a, mod, p)
+        a = _poly_mulmod_fp(a, a, mod, p)
+        e >>= 1
     return r
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """coeffs is monic of degree k >= 2, low-to-high."""
-    k = len(coeffs) - 1
+    """coeffs is monic of degree k >= 2, low-to-high.  Rabin's test:
+    x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1 for each prime l | k."""
     if coeffs[0] == 0:
         return False  # divisible by x
-    mod = list(coeffs)
-    # Rabin: x^(p^k) == x, and gcd(x^(p^(k/l)) - x, f) = 1 for prime l | k
-    xpk = _xq_pow_mod(mod, p, k)
-    minus_x = xpk[:]
-    minus_x[1] = (minus_x[1] - 1) % p
-    if any(minus_x):
+    k = len(coeffs) - 1
+    x = [0, 1] + [0] * (k - 2)
+    if _powmod(x, p**k, coeffs, p) != x:
         return False
     for ell in [d for d in range(2, k + 1) if k % d == 0 and is_prime(d)]:
-        g = _xq_pow_mod(mod, p, k // ell)
-        g = g[:]
-        g[1] = (g[1] - 1) % p
-        if len(_poly_gcd_fp(g, mod, p)) > 1:
+        h = _powmod(x, p ** (k // ell), coeffs, p)
+        h[1] = (h[1] - 1) % p
+        if len(_poly_gcd_fp(h, list(coeffs), p)) > 1:
             return False
     return True
+
+
+def _log_tables(ctx: FieldCtx):
+    """(exp, log, zech) of the module docstring for ctx, as int32 arrays.
+
+    g is the least element with g^(n/r) != 1 for each prime r | n.  On digit
+    rows, multiplication by g^B is a k x k matrix over F_p: doubling makes
+    g^0 .. g^(B-1), B the least power of two >= min(n, BLOCK), and then each
+    block of B powers is the last one times g^B.  1 + a differs from a only
+    in its lowest digit, so zech is one vectorised step from exp and log.
+    """
+    p, k, q = ctx.p, ctx.k, ctx.q
+    n = q - 1
+    tests = [n // r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    one = [1] + [0] * (k - 1)
+    g = next(g for g in range(p if k > 1 else 1, q)  # F_p's orders are < n
+             if all(_powmod(ctx.digits(g), e, ctx.modulus, p) != one for e in tests))
+    # row j: the digits of g x^j, so digits(a) @ step = digits(g a)
+    step = np.array([ctx.digits(ctx._mul_digits(g, p**j)) for j in range(k)])
+    rows = np.array([one])  # rows[i]: the digits of g^i
+    while len(rows) < min(n, BLOCK):
+        rows = np.concatenate([rows, rows @ step % p])
+        step = step @ step % p
+    place, exp = [p**i for i in range(k)], np.empty(2 * n, dtype=np.int32)
+    for lo in range(0, n, len(rows)):
+        exp[lo:lo + len(rows)] = rows @ place
+        rows = rows @ step % p
+    exp[n:] = exp[:n]
+    log = np.empty(q, dtype=np.int32)
+    log[exp[:n]] = np.arange(n)
+    log[0] = zero = 3 * n - 2
+    low = exp[:n] % p  # the lowest digits; zech ends in zech[zero] = log(1 + 0) = 0
+    zech = np.append(np.resize(log[exp[:n] - low + (low + 1) % p], zero), np.int32(0))
+    return exp, log, zech
 
 
 @lru_cache(maxsize=None)
@@ -363,10 +351,7 @@ class UniPoly:
 
     def degree(self) -> int | None:
         """Largest index with nonzero coefficient, None for the zero poly."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return None
+        return max((i for i, c in enumerate(self.coeffs) if c), default=None)
 
     def eval(self, ctx: FieldCtx, x: int) -> int:
         v = 0
@@ -378,18 +363,19 @@ class UniPoly:
 def count_roots(f, ctx: FieldCtx) -> int:
     """Number of x in F_q with f(x) = 0, by exhaustive scan over the field.
 
-    The zero polynomial vanishes everywhere and returns q.  Prime fields scan
-    F_p in blocks of BLOCK consecutive elements, each with a numpy Horner loop
-    over an int64 vector updated in place: the coefficients are reduced mod p
-    once, and the vector is reduced mod p only once every two Horner steps and
-    at the end.  That is exact because p <= Q_LIMIT = 2^20: from a reduced
-    vector (entries < p) two steps stay below p^3 < 2^63, so a context with a
-    larger p raises TooLarge.  Each reduction is v - p * (v // p), exact since
-    v >= 0, and the block's roots are the entries with v == p * (v // p) after
-    the last step.  Extension fields run the scalar Horner loop of
-    UniPoly.eval through ctx.add and ctx.mul.  The scan is the unconditional
-    ground truth used by everything else in the package; it is never replaced
-    by factorisation.
+    The zero polynomial vanishes everywhere and returns q.  The scan runs in
+    blocks of BLOCK elements, whose 64 KiB arrays stay in cache and below
+    malloc's mmap threshold, so a scan reuses heap memory.  Over F_p it is a
+    Horner loop on an int64 vector updated in place, reduced mod p once every
+    two steps and at the end: from entries < p two steps stay below
+    p^3 < 2^63, as p <= Q_LIMIT = 2^20 (a larger p raises TooLarge).  A
+    reduction is v - p * (v // p), exact for v >= 0 and faster in numpy than
+    the remainder.  Over an extension field 0 is a root iff c_0 = 0, and
+    x = g^i runs Horner on logs: after the nonzero c_j the value is
+    g^(log c_j + u), or 0 where u = Z, and the next nonzero c_j' makes it
+    c_j' * (1 + g^(log c_j + u + (j - j') i - log c_j')), one zech lookup; an
+    index past Z clips to zech[Z] = 0.  The scan is the ground truth of the
+    package; it is never replaced by factorisation.
     """
     poly = f if isinstance(f, UniPoly) else UniPoly.of(f)
     deg = poly.degree()
@@ -421,4 +407,17 @@ def count_roots(f, ctx: FieldCtx) -> int:
             t *= p
             zeros += int(np.count_nonzero(v == t))
         return zeros
-    return sum(1 for x in range(ctx.q) if poly.eval(ctx, x) == 0)
+    _, log, zech = ctx._logs
+    zech, n = zech.obj, ctx.q - 1
+    # (j, log c_j) for the nonzero c_j, leading first
+    terms = [(j, log[c]) for j, c in reversed(list(enumerate(poly.coeffs[:deg + 1]))) if c]
+    zeros = int(not poly.coeffs[0])
+    for lo in range(0, n, BLOCK):
+        i = np.arange(lo, min(lo + BLOCK, n))
+        (j, off), u = terms[0], 0
+        for j2, lc in terms[1:]:
+            e = i if j - j2 == 1 else i * (j - j2) % n
+            u = zech[(off - lc) % n:].take(u + e, mode="clip")
+            j, off = j2, lc
+        zeros += int(np.count_nonzero(u == len(zech) - 1))
+    return zeros

@@ -130,6 +130,23 @@ def test_v720_classification_rejects_small_primes():
         an.check_v720_classification([3])
 
 
+def test_v720_classification_tests_each_prime_once(monkeypatch):
+    # the classification tests primality once per prime, then scans for
+    # a^2 + 27 b^2 = p without cornacchia_27's second test; the
+    # representations are cornacchia_27's
+    primes = an.primes_in(5, 3000)
+    real, tested = an.is_prime, []
+    monkeypatch.setattr(an, "is_prime", lambda n: tested.append(n) or real(n))
+    rep = an.check_v720_classification(primes)
+    assert tested == primes
+    monkeypatch.setattr(an, "is_prime", real)
+    assert [r.representation for r in rep.rows] == [
+        None if p % 3 == 2 else an.cornacchia_27(p) for p in primes]
+    for bad in (25, 91):  # composites = 1 mod 3 are still refused
+        with pytest.raises(ValueError, match="classification needs primes"):
+            an.check_v720_classification([bad])
+
+
 def reference_roots(int_coeffs, p):
     """The root count of an integer polynomial mod p with nothing kept: the
     loop residue_profile and check_v720_classification ran before

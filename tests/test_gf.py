@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from math import isqrt
 
 from fqzeta import gf
-from fqzeta.gf import (BLOCK, Q_LIMIT, TABLE_LIMIT, DegreeZero,
+from fqzeta.gf import (BLOCK, Q_LIMIT, DegreeZero,
                        DivisionByZero, FieldCtx, NotPrime, TooLarge, UniPoly,
                        count_roots, field_of_order, is_prime, make_field)
 
@@ -173,9 +174,9 @@ def test_field_axioms_sampled():
 
 
 def test_table_scalars_match_digit_routines():
-    # extension fields with q <= 256 read add/mul/neg from tables built once
-    # (mul from a generator's log/antilog tables, add and neg from a numpy
-    # digit sum); the digit routines are the reference they are checked against
+    # extension fields read add/mul/neg from their exp/log/zech tables, built
+    # once per field; the digit routines are the reference they are checked
+    # against, exhaustively up to q = 64 and sampled above, past TABLE_LIMIT
     for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
                  (5, 2), (7, 2)]:
         ctx = make_field(p, k)
@@ -185,9 +186,10 @@ def test_table_scalars_match_digit_routines():
             for y in range(ctx.q):
                 assert ctx.add(x, y) == ctx._add_digits(x, y)
                 assert ctx.mul(x, y) == ctx._mul_digits(x, y)
-    for p, k in [(5, 3), (2, 7), (3, 5), (2, 8)]:
+    for p, k in [(5, 3), (2, 7), (3, 5), (2, 8), (3, 6), (2, 11), (3, 7)]:
         ctx = make_field(p, k)
-        assert ctx._lists is not None and ctx.q <= TABLE_LIMIT
+        exp, log, zech = ctx._logs  # the tables the scalar ops read
+        assert (len(exp), len(log), len(zech)) == (2 * ctx.q - 2, ctx.q, 3 * ctx.q - 4)
         rng = random.Random(ctx.q)
         for x in range(ctx.q):
             assert ctx.neg(x) == ctx._neg_digits(x)
@@ -195,6 +197,33 @@ def test_table_scalars_match_digit_routines():
             x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
             assert ctx.add(x, y) == ctx._add_digits(x, y)
             assert ctx.mul(x, y) == ctx._mul_digits(x, y)
+
+
+def test_log_tables_are_held_for_the_last_few_fields_only():
+    # fresh contexts (make_field's cache bypassed) build their tables on the
+    # first scalar op; only the last _LOG_FIELDS keep them, and an evicted
+    # field builds them again when it next needs them
+    fields = [make_field.__wrapped__(p, k) for p, k in
+              [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]]
+    for ctx in fields:
+        assert ctx.mul(2, 3) == ctx._mul_digits(2, 3)
+    assert len(gf._held) == gf._LOG_FIELDS < len(fields)
+    assert [ctx for ctx in fields if "_logs" in vars(ctx)] == fields[-gf._LOG_FIELDS:]
+    for ctx in fields:
+        assert ctx.add(2, 3) == ctx._add_digits(2, 3)
+
+
+def test_a_context_pickles_without_its_tables():
+    # workers receive fields by pickle; the memoryviews of the log tables do
+    # not pickle, and a field rebuilds its tables where it is used
+    for p, k in [(3, 2), (7, 1)]:
+        ctx = make_field(p, k)
+        ctx.tables()
+        ctx.mul(2, 3)
+        back = pickle.loads(pickle.dumps(ctx))
+        assert back == ctx and not {"_logs", "_tables"} & set(vars(back))
+        assert back.mul(2, 3) == ctx.mul(2, 3)
+        assert back.tables()[1].tolist() == ctx.tables()[1].tolist()
 
 
 @pytest.mark.parametrize("p,k", [(2, 8), (251, 1), (2, 1), (3, 2), (13, 1)])
@@ -309,8 +338,8 @@ def test_count_roots_exact_at_the_largest_prime():
 
 
 def test_count_roots_table_path_matches_scalar():
-    # extension fields take the scalar Horner scan through ctx.add/ctx.mul
-    # (table scalars for these q <= 256); F_17 takes the numpy mod-p scan
+    # extension fields take the log-domain scan, and UniPoly.eval's ctx.add
+    # and ctx.mul read the same log tables; F_17 takes the numpy mod-p scan
     rng = random.Random(5)
     for p, k in [(7, 2), (5, 2), (3, 3), (2, 5), (17, 1)]:
         ctx = make_field(p, k)
@@ -319,6 +348,44 @@ def test_count_roots_table_path_matches_scalar():
             slow = sum(1 for x in range(ctx.q)
                        if UniPoly.of(coeffs).eval(ctx, x) == 0)
             assert count_roots(coeffs, ctx) == slow, (p, k, coeffs)
+
+
+def _digit_horner_roots(coeffs, ctx):
+    """Roots in F_q by Horner's rule on the digit routines alone."""
+    roots = 0
+    for x in range(ctx.q):
+        v = 0
+        for c in reversed(coeffs):
+            v = ctx._add_digits(ctx._mul_digits(v, x), c)
+        roots += v == 0
+    return roots
+
+
+def test_count_roots_matches_the_digit_routines_on_every_extension_field():
+    # the log-domain scan against a reference that shares nothing with the
+    # log tables: random polynomials with zero coefficients (gaps, c_0 = 0,
+    # trailing zeros), a product of linear factors with a repeated root and
+    # the root 0, and x^(q-1) - 1, which vanishes on all of F_q^*
+    rng = random.Random(21)
+    fields = [make_field(p, k) for p in range(2, 32) if is_prime(p)
+              for k in range(2, 11) if p**k <= 1024]
+    assert len(fields) == 26
+    for ctx in fields:
+        q = ctx.q
+        polys = []
+        for _ in range(max(1, 256 // q)):
+            deg = rng.randrange(1, 5)
+            polys.append([rng.choice((0, rng.randrange(q))) for _ in range(deg)]
+                         + [rng.randrange(1, q)] + [0] * rng.randrange(2))
+        f, roots = [1], [0] + [rng.randrange(1, q) for _ in range(2)]
+        for r in roots + roots[-1:]:  # times (x - r)
+            f = [ctx._add_digits(a, ctx._mul_digits(ctx._neg_digits(r), b))
+                 for a, b in zip([0] + f, f + [0])]
+        assert count_roots(f, ctx) == _digit_horner_roots(f, ctx) == len(set(roots))
+        if q <= 16:
+            polys.append([ctx._neg_digits(1)] + [0] * (q - 2) + [1])
+        for coeffs in polys:
+            assert count_roots(coeffs, ctx) == _digit_horner_roots(coeffs, ctx), (q, coeffs)
 
 
 def test_count_roots_refuses_a_context_beyond_the_exactness_cap():
