@@ -162,9 +162,10 @@ N_MAX = 60  # largest modulus residue_profile classifies by
 P_MAX = 10**6  # largest bound primes_in sieves to
 # Largest porc work (degree times the sum of the sampled primes, about the
 # Horner steps of the root counts) residue_profile runs.  It admits 2x^3 + 1
-# up to --pmax 10^5 (1.4e9: `porc --pmax 100000` takes 11 s on a 2-core
-# host) and a degree of up to 348 at the default --pmax 10^4; x^20000 - 1 at
-# 10^4 (1.1e11) and 2x^3 + 1 at 10^6 (the same work) are refused.
+# up to --pmax 10^5 (1.4e9: `porc --pmax 100000` takes 3.3-3.8 s on a
+# 2-core host) and a degree of up to 348 at the default --pmax 10^4;
+# x^20000 - 1 at 10^4 (1.1e11) and 2x^3 + 1 at 10^6 (the same work) are
+# refused.
 PORC_WORK_LIMIT = 2 * 10**9
 
 

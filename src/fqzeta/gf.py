@@ -5,7 +5,10 @@ base-p digit vectors of polynomial coefficients over F_p, low degree first.
 0 is the additive identity and 1 the multiplicative identity.  A field is
 fully described by a FieldCtx; all operations are pure functions of the
 context and the operand encodings, so contexts can be shared freely across
-threads and processes.
+threads and processes.  A code outside 0..q-1 is undefined input to the
+scalar ops of FieldCtx, which do not check it, as they are the hot path;
+count_roots reduces integer coefficients mod p over a prime field and
+raises ValueError for such a code over an extension field.
 
 An order q names a field when it is a prime power p^k <= Q_LIMIT = 2^20.
 field_of_order(q), the one place that turns an order into its field, raises
@@ -43,7 +46,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Largest field order; count_roots relies on Q_LIMIT**3 < 2**63.
+# Largest field order; Q_LIMIT**3 < 2**63 lets count_roots reduce mod p at
+# most once every two Horner steps.
 Q_LIMIT = 1 << 20
 # Largest q with dense lookup tables (see the module docstring).
 TABLE_LIMIT = 256
@@ -281,7 +285,12 @@ def _log_tables(ctx: FieldCtx):
     """
     p, k, q = ctx.p, ctx.k, ctx.q
     n = q - 1
-    tests = [n // r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    tests, m = [], n  # n // r for each prime r | n
+    while m > 1:
+        r = _least_factor(m)
+        tests.append(n // r)
+        while m % r == 0:
+            m //= r
     one = [1] + [0] * (k - 1)
     g = next(g for g in range(p if k > 1 else 1, q)  # F_p's orders are < n
              if all(_powmod(ctx.digits(g), e, ctx.modulus, p) != one for e in tests))
@@ -363,14 +372,22 @@ class UniPoly:
 def count_roots(f, ctx: FieldCtx) -> int:
     """Number of x in F_q with f(x) = 0, by exhaustive scan over the field.
 
-    The zero polynomial vanishes everywhere and returns q.  The scan runs in
+    The zero polynomial vanishes everywhere and returns q.  Over F_p the
+    coefficients are integers read mod p; over an extension field each must
+    be an element code in 0..q-1, or ValueError is raised.  The scan runs in
     blocks of BLOCK elements, whose 64 KiB arrays stay in cache and below
     malloc's mmap threshold, so a scan reuses heap memory.  Over F_p it is a
-    Horner loop on an int64 vector updated in place, reduced mod p once every
-    two steps and at the end: from entries < p two steps stay below
-    p^3 < 2^63, as p <= Q_LIMIT = 2^20 (a larger p raises TooLarge).  A
-    reduction is v - p * (v // p), exact for v >= 0 and faster in numpy than
-    the remainder.  Over an extension field 0 is a root iff c_0 = 0, and
+    Horner loop on an int64 vector updated in place that skips the adds of
+    zero coefficients.  Its entries are below p^2 after the first step and
+    grow by a factor p per step, so v is reduced mod p only before a step
+    that could pass 2^63: never for degree d while p^(d+1) <= 2^63 (a cubic
+    up to p = 55108), every two steps near p = Q_LIMIT = 2^20 (a larger p
+    raises TooLarge).  A reduction is v - p * (v // p), exact for v >= 0 and
+    faster in numpy than the remainder.  The zero test needs no division:
+    for odd p, multiplication by p^-1 mod 2^64 maps the multiples of p in
+    0..2^64 - 1 onto 0..(2^64 - 1) // p, so p | v iff v * p^-1 mod 2^64 is at
+    most (2^64 - 1) // p (Granlund and Montgomery 1994, section 9); p = 2
+    tests v & 1.  Over an extension field 0 is a root iff c_0 = 0, and
     x = g^i runs Horner on logs: after the nonzero c_j the value is
     g^(log c_j + u), or 0 where u = Z, and the next nonzero c_j' makes it
     c_j' * (1 + g^(log c_j + u + (j - j') i - log c_j')), one zech lookup; an
@@ -378,6 +395,8 @@ def count_roots(f, ctx: FieldCtx) -> int:
     package; it is never replaced by factorisation.
     """
     poly = f if isinstance(f, UniPoly) else UniPoly.of(f)
+    if ctx.k > 1 and not all(0 <= c < ctx.q for c in poly.coeffs):
+        raise ValueError(f"a coefficient of {poly.coeffs} is no element code of F_{ctx.q}")
     deg = poly.degree()
     if deg is None:
         return ctx.q
@@ -388,24 +407,36 @@ def count_roots(f, ctx: FieldCtx) -> int:
         if p > Q_LIMIT:
             raise TooLarge(f"root counting over F_{p} needs p <= {Q_LIMIT}")
         c = [a % p for a in reversed(poly.coeffs[: deg + 1])]  # leading first
-        zeros = 0
+        # reduce before step i only where v could pass 2^63: its entries are
+        # below `bound`, p^2 after the first step and p times that per step
+        reduce, bound = set(), p * p
+        for i in range(2, deg + 1):
+            if bound * p > 1 << 63:
+                reduce.add(i)
+                bound = p
+            bound *= p
+        pinv = pow(p, -1, 1 << 64) if p > 2 else 0
+        top, zeros = ((1 << 64) - 1) // p, 0
         for lo in range(0, p, BLOCK):
             x = np.arange(lo, min(lo + BLOCK, p), dtype=np.int64)
-            # Horner from the reduced value c[0]; every entry of v is < p after
-            # a reduction, so the two steps that follow stay below p^3 < 2^63
             v = x * c[0]
-            v += c[1]
-            t = np.empty_like(v)
+            if c[1]:
+                v += c[1]
+            t = np.empty_like(v) if reduce else None
             for i in range(2, deg + 1):
-                if i % 2:
+                if i in reduce:
                     np.floor_divide(v, p, out=t)
                     t *= p
                     v -= t
                 v *= x
-                v += c[i]
-            np.floor_divide(v, p, out=t)
-            t *= p
-            zeros += int(np.count_nonzero(v == t))
+                if c[i]:
+                    v += c[i]
+            if p == 2:
+                zeros += len(v) - int(np.count_nonzero(v & 1))
+            else:  # 0 <= v < 2^63: p | v iff v * p^-1 mod 2^64 <= top
+                u = v.view(np.uint64)
+                u *= np.uint64(pinv)
+                zeros += int(np.count_nonzero(u <= top))
         return zeros
     _, log, zech = ctx._logs
     zech, n = zech.obj, ctx.q - 1

@@ -309,9 +309,10 @@ def test_count_roots_of_products_is_union():
 
 
 def test_count_roots_fast_path_matches_scalar():
-    # prime fields take the numpy mod-p Horner scan; lengths 2..8 run both
-    # parities of its reduce-every-two-steps schedule, and p = 8209 scans one
-    # full block and a 17-element tail
+    # prime fields take the numpy mod-p Horner scan; at p = 101 no length
+    # 2..8 reduces mod p inside the loop (101^9 < 2^63), at p = 8209 degrees
+    # 4..7 do (8209^5 > 2^63), and p = 8209 scans one full block and a
+    # 17-element tail
     rng = random.Random(3)
     for p, per_length in [(101, 20), (8209, 2)]:
         ctx = make_field(p, 1)
@@ -324,8 +325,9 @@ def test_count_roots_fast_path_matches_scalar():
 
 
 def test_count_roots_exact_at_the_largest_prime():
-    # the prime-field scan reduces mod p once every two Horner steps, which
-    # is exact only while p^3 + p < 2^63 for every admissible p
+    # near Q_LIMIT the prime-field scan reduces mod p once every two Horner
+    # steps (p^4 > 2^63), which is exact only while p^3 + p < 2^63 for every
+    # admissible p
     assert Q_LIMIT**3 + Q_LIMIT < 2**63
     p = 1048573  # the largest prime <= Q_LIMIT
     assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, Q_LIMIT + 1))
@@ -335,6 +337,68 @@ def test_count_roots_exact_at_the_largest_prime():
     for deg, r in enumerate(roots, 1):
         f = _poly_mul(f, [ctx.neg(r), 1], ctx)  # times (x - r)
         assert count_roots(f, ctx) == len(set(roots[:deg])), deg
+
+
+def _worst_case_polys(p, d, ctx):
+    """Degree-d polynomials over F_p, low degree first: every coefficient
+    p - 1, whose Horner values at x = p - 1 are the largest the scan can
+    meet; the same with c_0 set so that p - 1 is a root; and the product of
+    x - r for r = p - 1, p - 2, ... (mod p)."""
+    top = [p - 1] * (d + 1)
+    rooted = [-brute_poly_eval_fp([0] + top[1:], p - 1, p) % p] + top[1:]
+    product = [1]
+    for i in range(d):
+        product = _poly_mul(product, [(1 + i) % p, 1], ctx)  # times x - (p-1-i)
+    return [top, rooted, product]
+
+
+def _roots_by_gcd(coeffs, p):
+    """deg gcd(f, x^p - x) over F_p for f of degree >= 2: the distinct roots
+    of f, by powering x mod f, with no evaluation of f."""
+    lead = pow(coeffs[-1], p - 2, p)
+    f = [c * lead % p for c in coeffs]  # monic
+    h = gf._powmod([0, 1] + [0] * (len(f) - 3), p, f, p)
+    h[1] = (h[1] - 1) % p
+    return len(gf._poly_gcd_fp(f, h, p)) - 1
+
+
+@pytest.mark.parametrize("p, d", [
+    (2, 1), (2, 2), (2, 62), (2, 63), (3, 2), (3, 38), (3, 39),
+    (6203, 4), (6211, 4), (6203, 5), (6211, 5),  # 6208.4^5 = 2^63
+    (55103, 3), (55109, 3), (55117, 3),  # 55109.0^4 = 2^63
+    (55103, 4), (55109, 4), (55117, 4),
+    (1048573, 8)])  # the largest prime <= Q_LIMIT, reduced every two steps
+def test_count_roots_at_the_reduction_thresholds(p, d):
+    # the scan reduces mod p only before a step whose bound p^(i+1) passes
+    # 2^63: 55109 and 6211 are the first primes it reduces for at degree 3
+    # and 4.  With every coefficient p - 1 the value at x = p - 1 reaches
+    # about p^(i+1) - i p^i after step i, past 2^63 at 55117 and 6211 if a
+    # reduction is skipped; the wrapped int64 then gives a wrong residue at
+    # the next reduction (d + 1).  The reference shares no code with the
+    # numpy kernel: the UniPoly.eval scan below 2^16, deg gcd(f, x^p - x)
+    # near 2^20
+    ctx = make_field(p, 1)
+    polys = _worst_case_polys(p, d, ctx)
+    assert brute_poly_eval_fp(polys[1], p - 1, p) == 0
+    for f in polys:
+        if p < 1 << 16:
+            want = sum(1 for x in range(p) if UniPoly.of(f).eval(ctx, x) == 0)
+        else:
+            want = _roots_by_gcd(f, p)
+        assert count_roots(f, ctx) == want, (p, d, f)
+
+
+def test_count_roots_refuses_codes_outside_the_field():
+    # over an extension field a coefficient is an element code: -1 was read
+    # as 3 through log[-1] and 4 raised a bare IndexError on F_4; over a
+    # prime field coefficients are integers read mod p
+    F4 = make_field(2, 2)
+    for bad in ([-1, 1], [4, 1], [1, 0, 4], [0, -3], [7]):
+        with pytest.raises(ValueError):
+            count_roots(bad, F4)
+    assert count_roots([3, 1], F4) == 1  # x + 3 = x - 3
+    assert count_roots([-1, 1], make_field(5, 1)) == 1
+    assert count_roots([4, 1], make_field(2, 1)) == 1  # x + 4 = x over F_2
 
 
 def test_count_roots_table_path_matches_scalar():
