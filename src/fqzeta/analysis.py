@@ -26,7 +26,8 @@ from .gf import NotPrime, count_roots, field_of_order, is_prime, make_field
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
 from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
-from .formulas import closed_form, evaluate, realized_q_polynomial, variety_poly_int
+from .formulas import (closed_form, evaluate, evaluate_many, realized_q_polynomial,
+                       variety_poly_int)
 
 
 class ClassificationViolation(AssertionError):
@@ -501,7 +502,9 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
     """Unordered pairs of distinct catalog instances with equal polynomials.
 
     Polynomials come from the closed forms (the campaign separately proves
-    those equal to both enumeration routes), so full grids stay cheap.
+    those equal to both enumeration routes), so full grids stay cheap: each
+    field's instances of every requested kind go through one evaluate_many
+    call, which counts each distinct variety polynomial of the field once.
     Returns an IsoPairs: every instance is evaluated here, but a pair is
     built only when the result is iterated, which can be done again and
     again; len() is the exact number of pairs, counted without building
@@ -519,22 +522,20 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
     blocks = []
     for q in sorted(q_set):
         ctx = field_of_order(q)
+        # the instances in instance order, the same for every kind
+        grid = sorted((fam_order[family], tuple(params), family)
+                      for family in families for params in valid_params(family, ctx))
+        zetas = iter(evaluate_many([(closed_form(family, params, kind, ctx), params)
+                                    for kind in sorted(kinds) for _, params, family in grid],
+                                   ctx))
         for kind in sorted(kinds):
-            members = []
-            for family in families:
-                for params in valid_params(family, ctx):
-                    z = evaluate(closed_form(family, params, kind, ctx),
-                                 params, ctx)
-                    members.append((fam_order[family], tuple(params), family,
-                                    z.coeffs))
-            # members in instance order; each is paired with the later
-            # members of its group, so the pairs come out in order
-            members.sort(key=lambda mb: mb[:2])
+            # each instance is paired with the later members of its group,
+            # so the pairs come out in order
             groups: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
             placed = []
-            for _, params, family, coeffs in members:
-                group = groups.setdefault(coeffs, [])
-                placed.append((group, len(group), coeffs))
+            for (_, params, family), z in zip(grid, zetas):
+                group = groups.setdefault(z.coeffs, [])
+                placed.append((group, len(group), z.coeffs))
                 group.append((family, params))
             blocks.append((q, kind, tuple(pl for pl in placed
                                           if pl[1] < len(pl[0]) - 1)))

@@ -5,7 +5,9 @@ code so they can be audited line by line.  A record's guard picks the branch
 from the parameters, compared inside the field; the coefficient expressions
 are integer polynomials in q plus weighted counts of F_q-roots of the fixed
 defining polynomials below.  evaluate() turns a template into the exact
-coefficient vector for one concrete field.
+coefficient vector for one concrete field, with one root count per variety
+term; evaluate_many() does the same for many (template, parameters) pairs
+over one field, counting each distinct variety polynomial once.
 
 Each table line is parsed and checked (family, kind, guard atoms, parameter
 names, variety arity) once, when the table loads, into one SymbolicZeta with
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .gf import FieldCtx, count_roots, make_field
+from .gf import FieldCtx, count_roots, count_roots_many, make_field
 from .liealg import FAMILIES
 from .zetapoly import ZetaPoly, _display
 
@@ -451,23 +453,61 @@ def closed_form(family: str, params, kind: str, ctx: FieldCtx | None) -> Symboli
     raise UnknownBranch(f"no branch of {family} / {kind} matches params {tuple(params)}")
 
 
-def _count(tag: str, args: tuple[str, ...], params, ctx: FieldCtx) -> int:
-    """|V_tag| over ctx at the named parameters; "-a" stands for -a."""
-    vals = tuple(ctx.neg(params["ab".index(s[-1])]) if s[0] == "-"
-                 else params["ab".index(s)] for s in args)
-    return variety_count(VarietyId(tag, vals), ctx)
+def _varieties(sz: SymbolicZeta, params, ctx: FieldCtx) -> list[tuple]:
+    """(tag, parameter values) of each variety term of sz at params over ctx,
+    in term order; an argument "-a" stands for -a."""
+    return [(tag, tuple([ctx.neg(params["ab".index(s[1])]) if s[0] == "-"
+                         else params["ab".index(s)] for s in args]))
+            for term in sz.terms for _, tag, args in term.varieties]
+
+
+def _substitute(sz: SymbolicZeta, q: int, counts) -> ZetaPoly:
+    """The ZetaPoly of sz at q, with counts[i] the root count of its i-th
+    variety term; exact integers."""
+    counts, coeffs = iter(counts), []
+    for term in sz.terms:
+        v = term.base.eval(q)
+        for w, _, _ in term.varieties:
+            v += w.eval(q) * next(counts)
+        coeffs.append(v)
+    return ZetaPoly.of(q, coeffs)
 
 
 def evaluate(sz: SymbolicZeta, params, ctx: FieldCtx) -> ZetaPoly:
-    """Substitute q and the concrete variety counts; exact integers."""
-    q = ctx.q
-    coeffs = []
-    for term in sz.terms:
-        v = term.base.eval(q)
-        for w, tag, args in term.varieties:
-            v += w.eval(q) * _count(tag, args, params, ctx)
-        coeffs.append(v)
-    return ZetaPoly.of(q, coeffs)
+    """Substitute q and the concrete variety counts; exact integers.  Each
+    variety term is one gf.count_roots call."""
+    return _substitute(sz, ctx.q, [variety_count(VarietyId(tag, vals), ctx)
+                                   for tag, vals in _varieties(sz, params, ctx)])
+
+
+def evaluate_many(items, ctx: FieldCtx) -> list[ZetaPoly]:
+    """[evaluate(sz, params, ctx) for sz, params in items], with each distinct
+    variety polynomial of the batch counted once, all in one
+    gf.count_roots_many call over ctx.  No count outlives the call."""
+    items = list(items)
+    found, polys = _positions(items, ctx)
+    counts = count_roots_many(polys, ctx)
+    return [_substitute(sz, ctx.q, [counts[i] for i in pos])
+            for (sz, _), pos in zip(items, found)]
+
+
+def _positions(items, ctx: FieldCtx) -> tuple[list[tuple[int, ...]], list[tuple]]:
+    """(found, polys): polys holds each distinct variety polynomial of the
+    (sz, params) items over ctx once, and found[i] the position in polys of
+    each variety term of items[i], in term order.  Its (tag, values) keys
+    are freed on return, before the scan."""
+    polys: dict[tuple[int, ...], int] = {}  # distinct polynomial -> position
+    slot: dict[tuple, int] = {}  # (tag, values) -> its polynomial's position
+    found = []
+    for sz, params in items:
+        pos = []
+        for v in _varieties(sz, params, ctx):
+            if v not in slot:
+                poly = tuple(variety_poly(VarietyId(*v), ctx))
+                slot[v] = polys.setdefault(poly, len(polys))
+            pos.append(slot[v])
+        found.append(tuple(pos))
+    return found, list(polys)
 
 
 def zeta_formula(family: str, params, kind: str, ctx: FieldCtx) -> ZetaPoly:
@@ -481,11 +521,13 @@ def realized_q_polynomial(sz: SymbolicZeta, params, ctx: FieldCtx) -> tuple:
     exactly when these vectors agree, which is what the period estimates
     compare.
     """
+    counts = iter([variety_count(VarietyId(tag, vals), ctx)
+                   for tag, vals in _varieties(sz, params, ctx)])
     out = []
     for term in sz.terms:
         poly = term.base
-        for w, tag, args in term.varieties:
-            poly = poly + w * QPoly.const(_count(tag, args, params, ctx))
+        for w, _, _ in term.varieties:
+            poly = poly + w * QPoly.const(next(counts))
         out.append(poly.coeffs)
     return tuple(out)
 

@@ -7,8 +7,15 @@ fully described by a FieldCtx; all operations are pure functions of the
 context and the operand encodings, so contexts can be shared freely across
 threads and processes.  A code outside 0..q-1 is undefined input to the
 scalar ops of FieldCtx, which do not check it, as they are the hot path;
-count_roots reduces integer coefficients mod p over a prime field and
-raises ValueError for such a code over an extension field.
+count_roots and count_roots_many reduce integer coefficients mod p over a
+prime field and raise ValueError for such a code over an extension field.
+
+Roots are counted by exhaustive scan, never by factorisation.
+count_roots(f, ctx) counts one polynomial's roots and count_roots_many
+(polys, ctx) those of many over one field; both run the one blocked scan
+that count_roots' docstring describes, and a batch shares each numpy call of
+the scan among up to BLOCK (polynomial, element) entries.  Neither keeps a
+count past its call.
 
 An order q names a field when it is a prime power p^k <= Q_LIMIT = 2^20.
 field_of_order(q), the one place that turns an order into its field, raises
@@ -51,7 +58,7 @@ import numpy as np
 Q_LIMIT = 1 << 20
 # Largest q with dense lookup tables (see the module docstring).
 TABLE_LIMIT = 256
-# Field elements per block of a root scan: 64 KiB int64 arrays.
+# (polynomial, element) entries per block of a root scan: 64 KiB int64 arrays.
 BLOCK = 1 << 13
 # Most fields that keep their log tables at once (see FieldCtx._logs).
 _LOG_FIELDS = 4
@@ -375,80 +382,164 @@ def count_roots(f, ctx: FieldCtx) -> int:
     The zero polynomial vanishes everywhere and returns q.  Over F_p the
     coefficients are integers read mod p; over an extension field each must
     be an element code in 0..q-1, or ValueError is raised.  The scan runs in
-    blocks of BLOCK elements, whose 64 KiB arrays stay in cache and below
-    malloc's mmap threshold, so a scan reuses heap memory.  Over F_p it is a
-    Horner loop on an int64 vector updated in place that skips the adds of
-    zero coefficients.  Its entries are below p^2 after the first step and
-    grow by a factor p per step, so v is reduced mod p only before a step
-    that could pass 2^63: never for degree d while p^(d+1) <= 2^63 (a cubic
-    up to p = 55108), every two steps near p = Q_LIMIT = 2^20 (a larger p
-    raises TooLarge).  A reduction is v - p * (v // p), exact for v >= 0 and
-    faster in numpy than the remainder.  The zero test needs no division:
-    for odd p, multiplication by p^-1 mod 2^64 maps the multiples of p in
-    0..2^64 - 1 onto 0..(2^64 - 1) // p, so p | v iff v * p^-1 mod 2^64 is at
-    most (2^64 - 1) // p (Granlund and Montgomery 1994, section 9); p = 2
-    tests v & 1.  Over an extension field 0 is a root iff c_0 = 0, and
-    x = g^i runs Horner on logs: after the nonzero c_j the value is
+    blocks of at most BLOCK (polynomial, element) entries, whose 64 KiB
+    arrays stay in cache and below malloc's mmap threshold, so a scan reuses
+    heap memory.  Over F_p it is a Horner loop on an int64 block updated in
+    place, one coefficient column per step, that skips the adds of a column
+    that is zero in every row.  Its entries are below p^2 after the first
+    step and grow by a factor p per step, so v is reduced mod p only before
+    a step that could pass 2^63, or 2^64 for the last step, whose value the
+    zero test reads as uint64: never for degree d while p^(d+1) <= 2^64 (a
+    cubic up to p = 65521), every two steps near p = Q_LIMIT = 2^20 (a
+    larger p raises TooLarge).  Past 2^63 the int64 product wraps mod 2^64,
+    which the uint64 view reads back exactly.  A reduction is
+    v - p * (v // p), exact for v >= 0 and faster in numpy than the
+    remainder.  The zero test needs no division: for odd p, multiplication
+    by p^-1 mod 2^64 maps the multiples of p in 0..2^64 - 1 onto
+    0..(2^64 - 1) // p, so p | v iff v * p^-1 mod 2^64 is at most
+    (2^64 - 1) // p (Granlund and Montgomery 1994, section 9); p = 2 tests
+    v & 1.  Over an extension field 0 is a root iff c_0 = 0, and x = g^i
+    runs Horner on logs: after the nonzero c_j the value is
     g^(log c_j + u), or 0 where u = Z, and the next nonzero c_j' makes it
-    c_j' * (1 + g^(log c_j + u + (j - j') i - log c_j')), one zech lookup; an
-    index past Z clips to zech[Z] = 0.  The scan is the ground truth of the
-    package; it is never replaced by factorisation.
+    c_j' * (1 + g^(log c_j - log c_j' + u + (j - j') i)), one zech lookup;
+    an index past Z clips to zech[Z] = 0.  The scan is the ground truth of
+    the package; it is never replaced by factorisation.
     """
-    poly = f if isinstance(f, UniPoly) else UniPoly.of(f)
-    if ctx.k > 1 and not all(0 <= c < ctx.q for c in poly.coeffs):
-        raise ValueError(f"a coefficient of {poly.coeffs} is no element code of F_{ctx.q}")
-    deg = poly.degree()
-    if deg is None:
-        return ctx.q
-    if deg == 0:
-        return 0
-    if ctx.k == 1:
-        p = ctx.p
-        if p > Q_LIMIT:
-            raise TooLarge(f"root counting over F_{p} needs p <= {Q_LIMIT}")
-        c = [a % p for a in reversed(poly.coeffs[: deg + 1])]  # leading first
-        # reduce before step i only where v could pass 2^63: its entries are
-        # below `bound`, p^2 after the first step and p times that per step
-        reduce, bound = set(), p * p
-        for i in range(2, deg + 1):
-            if bound * p > 1 << 63:
-                reduce.add(i)
-                bound = p
-            bound *= p
-        pinv = pow(p, -1, 1 << 64) if p > 2 else 0
-        top, zeros = ((1 << 64) - 1) // p, 0
-        for lo in range(0, p, BLOCK):
-            x = np.arange(lo, min(lo + BLOCK, p), dtype=np.int64)
+    return _count_roots([f], ctx)[0]
+
+
+def count_roots_many(polys, ctx: FieldCtx) -> list[int]:
+    """[count_roots(f, ctx) for f in polys], counted in one blocked scan.
+
+    A block is up to BLOCK // w polynomials against a run of w elements,
+    w = min(p, BLOCK) over F_p and min(q - 1, BLOCK) over an extension
+    field, so a batch over a small field shares each numpy call of the scan
+    among many polynomials.  Over F_p the rows are padded with leading zeros
+    to the batch's largest degree, which sets the reduction schedule, and a
+    coefficient column is added only where some row has it nonzero.  Over
+    an extension field the rows with the same nonzero positions form a group
+    with the same exponent steps, and each row has its own log offsets:
+    zech.take(offset + u + e, mode="clip").  Each polynomial is counted as
+    given; removing repeats is the caller's part.
+    """
+    return _count_roots(polys, ctx)
+
+
+def _count_roots(polys, ctx: FieldCtx) -> list[int]:
+    """The root scan behind count_roots and count_roots_many."""
+    q, prime = ctx.q, ctx.k == 1
+    out, rows = [], []  # rows: the polynomials of degree >= 1, trimmed
+    for f in polys:
+        cs = f.coeffs if isinstance(f, UniPoly) else tuple(f)
+        if cs and (min(cs) < 0 or max(cs) >= q):
+            if not prime:
+                raise ValueError(f"a coefficient of {tuple(cs)} is no element code of F_{q}")
+            cs = [c % q for c in cs]
+        d = len(cs)
+        while d and not cs[d - 1]:
+            d -= 1
+        if d > 1:
+            rows.append(cs[:d])
+        out.append(None if d > 1 else 0 if d else q)  # None: scanned below
+    if rows:
+        if prime and q > Q_LIMIT:
+            raise TooLarge(f"root counting over F_{q} needs p <= {Q_LIMIT}")
+        counts = iter((_scan_fp if prime else _scan_fq)(rows, ctx))
+        out = [next(counts) if c is None else c for c in out]
+    return out
+
+
+def _columns(chunk):
+    """(columns, live, axis) of equal-length rows: the columns as (rows, 1)
+    int64 arrays, or ints for a single row, which numpy broadcasts faster;
+    whether each column has a nonzero entry; and the axis along which a
+    mask of the block counts per row (None: one row, counted whole)."""
+    if len(chunk) == 1:
+        return chunk[0], chunk[0], None
+    live = [any(col) for col in zip(*chunk)]
+    return np.array(chunk, dtype=np.int64).T[:, :, None], live, 1
+
+
+def _reductions(p: int, d: int) -> set[int]:
+    """The Horner steps 2..d of a degree-d scan over F_p before which v is
+    reduced mod p: those where v could pass 2^63, or 2^64 at the last step.
+    Its entries are below `bound`, p^2 after the first step and p times that
+    per step."""
+    reduce, bound = set(), p * p
+    for i in range(2, d + 1):
+        if bound * p > 1 << (64 if i == d else 63):
+            reduce.add(i)
+            bound = p
+        bound *= p
+    return reduce
+
+
+def _scan_fp(rows, ctx: FieldCtx) -> list[int]:
+    """Roots in F_p of each of rows (coefficients low to high, reduced mod p,
+    degree >= 1), as in count_roots' docstring."""
+    p = ctx.p
+    d = max(map(len, rows)) - 1
+    reduce = _reductions(p, d)
+    pinv = pow(p, -1, 1 << 64) if p > 2 else 0
+    top, width = ((1 << 64) - 1) // p, min(p, BLOCK)
+    height, out = max(1, BLOCK // width), []  # rows x width <= BLOCK
+    for r0 in range(0, len(rows), height):
+        # leading coefficient first, padded to degree d
+        chunk = [[0] * (d + 1 - len(r)) + list(r[::-1]) for r in rows[r0:r0 + height]]
+        (c, live, axis), zeros = _columns(chunk), 0
+        for lo in range(0, p, width):
+            x = np.arange(lo, min(lo + width, p), dtype=np.int64)
             v = x * c[0]
-            if c[1]:
+            if live[1]:
                 v += c[1]
             t = np.empty_like(v) if reduce else None
-            for i in range(2, deg + 1):
+            for i in range(2, d + 1):
                 if i in reduce:
                     np.floor_divide(v, p, out=t)
                     t *= p
                     v -= t
                 v *= x
-                if c[i]:
+                if live[i]:
                     v += c[i]
             if p == 2:
-                zeros += len(v) - int(np.count_nonzero(v & 1))
-            else:  # 0 <= v < 2^63: p | v iff v * p^-1 mod 2^64 <= top
+                zeros += np.count_nonzero((v & 1) == 0, axis=axis)
+            else:  # v < 2^64 as uint64: p | v iff v * p^-1 mod 2^64 <= top
                 u = v.view(np.uint64)
                 u *= np.uint64(pinv)
-                zeros += int(np.count_nonzero(u <= top))
-        return zeros
+                zeros += np.count_nonzero(u <= top, axis=axis)
+        out.extend(zeros.tolist() if axis else [int(zeros)])
+    return out
+
+
+def _scan_fq(rows, ctx: FieldCtx) -> list[int]:
+    """Roots in F_q, q = p^k with k > 1, of each of rows (element codes low to
+    high, degree >= 1), as in count_roots' docstring: one log-domain Horner
+    scan per group of rows with the same nonzero positions."""
     _, log, zech = ctx._logs
     zech, n = zech.obj, ctx.q - 1
-    # (j, log c_j) for the nonzero c_j, leading first
-    terms = [(j, log[c]) for j, c in reversed(list(enumerate(poly.coeffs[:deg + 1]))) if c]
-    zeros = int(not poly.coeffs[0])
-    for lo in range(0, n, BLOCK):
-        i = np.arange(lo, min(lo + BLOCK, n))
-        (j, off), u = terms[0], 0
-        for j2, lc in terms[1:]:
-            e = i if j - j2 == 1 else i * (j - j2) % n
-            u = zech[(off - lc) % n:].take(u + e, mode="clip")
-            j, off = j2, lc
-        zeros += int(np.count_nonzero(u == len(zech) - 1))
-    return zeros
+    groups: dict[tuple[int, ...], list[int]] = {}  # nonzero positions -> rows
+    for r, cs in enumerate(rows):
+        groups.setdefault(tuple([j for j, c in enumerate(cs) if c]), []).append(r)
+    width = min(n, BLOCK)
+    height, out = max(1, BLOCK // width), [1] * len(rows)  # c x^j: x = 0 only
+    for js, members in groups.items():
+        if len(js) == 1:
+            continue
+        js = js[::-1]  # leading first
+        steps = list(zip(js, js[1:]))
+        # log c_j - log c_j' for each step from the nonzero c_j to c_j'
+        shifts = [[(log[rows[r][j]] - log[rows[r][j2]]) % n for j, j2 in steps]
+                  for r in members]
+        for r0 in range(0, len(members), height):
+            (s, _, axis), zeros = _columns(shifts[r0:r0 + height]), 0
+            for lo in range(0, n, width):
+                i = np.arange(lo, min(lo + width, n))
+                u = 0
+                for shift, (j, j2) in zip(s, steps):
+                    e = i if j - j2 == 1 else i * (j - j2) % n
+                    u = zech.take(shift + u + e, mode="clip")
+                zeros += np.count_nonzero(u == len(zech) - 1, axis=axis)
+            zeros = zeros.tolist() if axis else [int(zeros)]
+            for r, z in zip(members[r0:r0 + height], zeros):
+                out[r] = z + (js[-1] > 0)  # 0 is a root iff c_0 = 0
+    return out

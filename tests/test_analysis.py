@@ -428,6 +428,28 @@ def _reachable(root):
     return seen.values()
 
 
+def test_isospectral_scan_counts_each_input_once(monkeypatch):
+    # every (polynomial, field) input reaches the gf kernel once: the 7,313
+    # distinct variety polynomials of both kinds in one batch, and M9's 37
+    # irreducibility tests of x^2 - x - a from valid_params, one call each;
+    # the two share only x^2 - x - 1, which is also V3(1)
+    from fqzeta import gf
+    calls, kernel = [], gf._count_roots
+
+    def record(polys, ctx):
+        polys = list(polys)
+        calls.append([(tuple(f), ctx.q) for f in polys])
+        return kernel(polys, ctx)
+
+    monkeypatch.setattr(gf, "_count_roots", record)
+    an.isospectral_scan((37,))
+    batches = [c for c in calls if len(c) > 1]
+    assert len(batches) == 1 and len(set(batches[0])) == len(batches[0]) == 7313
+    singles = sorted(c[0] for c in calls if len(c) == 1)
+    assert singles == sorted(((-a % 37, 36, 1), 37) for a in range(37))
+    assert set(singles) & set(batches[0]) == {((36, 36, 1), 37)}
+
+
 def test_isospectral_scan_holds_no_pair():
     # q = 37 has 2.8 M pairs; built all at once they took 268 MB
     pairs = an.isospectral_scan((37,))

@@ -5,9 +5,10 @@ from importlib import resources
 
 import pytest
 
+from fqzeta import formulas
 from fqzeta.formulas import (_COVER_FIELDS, BranchTableError, QPoly,
                              UnknownBranch, VarietyId, _parse_table,
-                             branch_table, closed_form, evaluate,
+                             branch_table, closed_form, evaluate, evaluate_many,
                              gaussian_binomial, realized_q_polynomial,
                              extra_variety_identities,
                              variety_count, variety_poly, variety_poly_int,
@@ -98,6 +99,31 @@ def test_evaluate_examples():
     # M7(2,0) ideal at p=31: both cubic counts are 3 since 31 = 2^2 + 27
     z = zeta_formula("M7", (2, 0), "ideal", make_field(31, 1))
     assert z.coeffs == (1, 1, 3, 3, 1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9])
+def test_evaluate_many_matches_evaluate(q, monkeypatch):
+    # every instance of both kinds over F_q in one batch gives evaluate's
+    # polynomials, in item order, with each distinct variety polynomial of
+    # the batch passed to one count_roots_many call once
+    ctx = field_of_order(q)
+    items = [(closed_form(family, params, kind, ctx), params)
+             for kind in ("ideal", "subalgebra") for family in FAMILIES
+             for params in valid_params(family, ctx)]
+    want = [evaluate(sz, params, ctx) for sz, params in items]
+    calls, real = [], formulas.count_roots_many
+
+    def record(polys, ctx):
+        calls.append(list(polys))
+        return real(calls[-1], ctx)
+
+    monkeypatch.setattr(formulas, "count_roots_many", record)
+    assert evaluate_many(iter(items), ctx) == want
+    assert len(calls) == 1 and len(set(calls[0])) == len(calls[0])
+    assert set(calls[0]) == {tuple(variety_poly(VarietyId(*v), ctx))
+                             for sz, params in items
+                             for v in formulas._varieties(sz, params, ctx)}
+    assert evaluate_many([], ctx) == []
 
 
 def test_branch_guards_partition_every_family():

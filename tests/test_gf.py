@@ -12,7 +12,8 @@ from math import isqrt
 from fqzeta import gf
 from fqzeta.gf import (BLOCK, Q_LIMIT, DegreeZero,
                        DivisionByZero, FieldCtx, NotPrime, TooLarge, UniPoly,
-                       count_roots, field_of_order, is_prime, make_field)
+                       count_roots, count_roots_many, field_of_order, is_prime,
+                       make_field)
 
 
 def brute_poly_eval_fp(coeffs, x, p):
@@ -363,21 +364,32 @@ def _roots_by_gcd(coeffs, p):
 
 
 @pytest.mark.parametrize("p, d", [
-    (2, 1), (2, 2), (2, 62), (2, 63), (3, 2), (3, 38), (3, 39),
+    (2, 1), (2, 2), (2, 62), (2, 63), (2, 64), (3, 2), (3, 38), (3, 39), (3, 40),
     (6203, 4), (6211, 4), (6203, 5), (6211, 5),  # 6208.4^5 = 2^63
+    (7129, 4), (7151, 4),  # 7131.6^5 = 2^64
     (55103, 3), (55109, 3), (55117, 3),  # 55109.0^4 = 2^63
     (55103, 4), (55109, 4), (55117, 4),
+    (65521, 3), (65537, 3),  # 65536^4 = 2^64
     (1048573, 8)])  # the largest prime <= Q_LIMIT, reduced every two steps
 def test_count_roots_at_the_reduction_thresholds(p, d):
-    # the scan reduces mod p only before a step whose bound p^(i+1) passes
-    # 2^63: 55109 and 6211 are the first primes it reduces for at degree 3
-    # and 4.  With every coefficient p - 1 the value at x = p - 1 reaches
-    # about p^(i+1) - i p^i after step i, past 2^63 at 55117 and 6211 if a
-    # reduction is skipped; the wrapped int64 then gives a wrong residue at
-    # the next reduction (d + 1).  The reference shares no code with the
-    # numpy kernel: the UniPoly.eval scan below 2^16, deg gcd(f, x^p - x)
-    # near 2^20
+    # the scan reduces mod p only before a step i < d whose bound p^(i+1)
+    # passes 2^63, or before the last step if p^(d+1) passes 2^64, as the
+    # zero test reads the last value as uint64: 55109 and 6211 are the first
+    # primes it reduces for before an inner step (degree 4 and 5), 65537 and
+    # 7151 the first it reduces for before the last step of a cubic and a
+    # quartic, and at 65521 and 7129 the last value passes 2^63 unreduced
+    # and is read back from the wrapped int64.  With every coefficient p - 1
+    # the value at x = p - 1 reaches about p^(i+1) - i p^i after step i, past
+    # 2^63 (2^64 at the last step) at 55117, 6211, 65537 and 7151 if a
+    # reduction is skipped; the wrapped int64 then gives a wrong residue.
+    # The reference shares no code with the numpy kernel: the UniPoly.eval
+    # scan below 2^16, deg gcd(f, x^p - x) above
     ctx = make_field(p, 1)
+    want_reduced = {(65521, 3): set(), (65537, 3): {3}, (7129, 4): set(), (7151, 4): {4},
+                    (55103, 3): set(), (55117, 4): {3}, (6211, 5): {4}, (2, 63): set(),
+                    (2, 64): {63}, (3, 39): set(), (3, 40): {39}}
+    if (p, d) in want_reduced:
+        assert gf._reductions(p, d) == want_reduced[p, d]
     polys = _worst_case_polys(p, d, ctx)
     assert brute_poly_eval_fp(polys[1], p - 1, p) == 0
     for f in polys:
@@ -399,6 +411,8 @@ def test_count_roots_refuses_codes_outside_the_field():
     assert count_roots([3, 1], F4) == 1  # x + 3 = x - 3
     assert count_roots([-1, 1], make_field(5, 1)) == 1
     assert count_roots([4, 1], make_field(2, 1)) == 1  # x + 4 = x over F_2
+    # a constant multiple of p is the zero polynomial mod p, as [5, 10] is
+    assert count_roots([5], make_field(5, 1)) == count_roots([5, 10], make_field(5, 1)) == 5
 
 
 def test_count_roots_table_path_matches_scalar():
@@ -493,6 +507,62 @@ def test_count_roots_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def _mixed_batch(ctx, size, rng):
+    """size polynomials over ctx, low degree first: degrees 1..4, 8 and 16
+    with zero coefficients inside and at c_0, trailing zeros, the zero
+    polynomial, constants, monomials, and one polynomial twice."""
+    q = ctx.q
+    batch = [[], [0, 0], [1], [q - 1, 0], [0, 1], [0, 0, 0, q - 1], [1, 0, 1]]
+    while len(batch) < size - 1:
+        deg = rng.choice((1, 2, 3, 4, 8, 16))
+        batch.append([rng.choice((0, rng.randrange(q))) for _ in range(deg)]
+                     + [rng.randrange(1, q)] + [0] * rng.randrange(2))
+    return batch + [batch[-1]]
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (19, 1), (8209, 1),
+                                  (2, 2), (2, 3), (3, 2), (2, 4), (3, 6)])
+def test_count_roots_many_matches_count_roots(p, k):
+    # a batch spans two row chunks of BLOCK // q polynomials (F_8209 and
+    # F_729: one polynomial per chunk, over two element blocks at 8209);
+    # every count must be count_roots' for the same polynomial alone
+    ctx, rng = make_field(p, k), random.Random(p * 100 + k)
+    batch = _mixed_batch(ctx, max(BLOCK // ctx.q, 2) + 40, rng)
+    got = count_roots_many(batch, ctx)
+    assert got == [count_roots(f, ctx) for f in batch]
+    assert all(type(c) is int for c in got)
+    assert count_roots_many([UniPoly.of(f) for f in batch[:20]], ctx) == got[:20]
+    assert count_roots_many(iter(batch[:20]), ctx) == got[:20]
+    assert count_roots_many([], ctx) == []
+
+
+def test_count_roots_many_refuses_codes_outside_the_field():
+    F4 = make_field(2, 4)
+    for bad in ([-1, 1], [16, 1], [1, 0, 17]):
+        with pytest.raises(ValueError):
+            count_roots_many([[1, 1], bad], F4)
+    assert count_roots_many([[-1, 1], [7, 1]], make_field(5, 1)) == [1, 1]
+
+
+def test_count_roots_many_memory_is_one_block():
+    # a batch holds a few arrays of at most BLOCK (polynomial, element)
+    # entries, never one row per polynomial of the batch against the whole
+    # field: 16 cubics over F_1048573 would take 128 MiB per array, 400 over
+    # F_1021 or F_729 about 3 MiB
+    rng = random.Random(11)
+    for p, k, size in [(1048573, 1, 16), (1021, 1, 400), (3, 6, 400)]:
+        ctx = make_field(p, k)
+        batch = [[rng.randrange(ctx.q) for _ in range(3)] + [1] for _ in range(size)]
+        count_roots_many(batch[:2], ctx)  # numpy's own one-time allocations
+        tracemalloc.start()
+        try:
+            count_roots_many(batch, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (ctx.q, peak)
 
 
 def test_unipoly_degree():
