@@ -272,12 +272,10 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
         for _, by_count in sorted(classes.items()):
             if len(by_count) <= 1:
                 continue
-            total = sum(len(ps) for ps in by_count.values())
-            if total >= 2:
-                consistent = False
-                if witness is None:
-                    (c1, ps1), (c2, ps2) = sorted(by_count.items())[:2]
-                    witness = ((ps1[0], c1), (ps2[0], c2))
+            consistent = False
+            if witness is None:
+                (c1, ps1), (c2, ps2) = sorted(by_count.items())[:2]
+                witness = ((ps1[0], c1), (ps2[0], c2))
             # majority count stays, everything else is an exception
             keep = max(sorted(by_count.items()), key=lambda kv: len(kv[1]))[0]
             for c, ps in by_count.items():

@@ -23,11 +23,13 @@ The scan plan made from it (which conditions exist, the level of each, how
 each level binds its variable) depends on the algebra only through its
 support, which structure constants are nonzero, and through which of the
 few monomials fed by more than one constant sum to zero.  _plan compiles it
-once per (cell, kind, support, vanishing sums) and keeps the last 256 plans;
-coefficients in a plan are indices into a list each algebra binds: its
-nonzero constants, their negations, the shared sums, and the -A/B factors
-of the levels solved directly.  A cell with no free entry is then a cached
-lookup.
+in one walk of the template, once per (cell, kind, support), and lists the
+shared sums it reads; only an algebra for which one of them is zero takes a
+second plan, compiled once per (cell, kind, support, vanishing sums).  One
+cache keeps the last 256 plans of both sorts.  Coefficients in a plan are
+indices into a list each algebra binds: its nonzero constants, their
+negations, the shared sums, and the -A/B factors of the levels solved
+directly.  A cell with no free entry is then a cached lookup.
 
 cell_count scans the cell level by level: it binds one free entry x at a
 time, in row-major order, and rather than giving x all q values it solves
@@ -316,41 +318,23 @@ def _nonzero(L: LieAlgebra):
     return tuple(support), tuple(values + [neg(c) for c in values])
 
 
-@lru_cache(maxsize=1)  # a plan miss reads it through _sums and then _plan
-def _polys(dt: DiagonalType, kind: str, support: tuple[int, ...]):
-    """(m, polys): the cell's conditions for the constants at support.
-
-    polys[condition][variables] lists the coefficient indices whose sum is
-    that monomial's coefficient: index i < k is the i-th of the k nonzero
-    constants, k + i its negation.  The result is shared: readers must not
-    change it.
-    """
-    m, feeds = _template(dt, kind)
-    k = len(support)
-    polys: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    for i, slot in enumerate(support):
-        for ci, minus, key in feeds[slot]:
-            polys.setdefault(ci, {}).setdefault(key, []).append(k + i if minus else i)
-    return m, polys
-
-
-# Both caches are keyed by support.  On the acceptance grid at most 128
-# plans serve one family over one field, and a campaign runs one family at
-# a time (analysis.campaign_items), so the last 256 keep it warm.
-@lru_cache(maxsize=256)
-def _sums(dt: DiagonalType, kind: str, support: tuple[int, ...]):
-    """The coefficient indices of each monomial that more than one nonzero
-    constant feeds, in _polys order; usually none."""
-    return tuple(tuple(ids) for poly in _polys(dt, kind, support)[1].values()
-                 for ids in poly.values() if len(ids) > 1)
-
-
+# Keyed by support.  On the acceptance grid at most 128 plans serve one
+# family over one field, and a campaign runs one family at a time
+# (analysis.campaign_items), so the last 256 keep it warm.
 @lru_cache(maxsize=256)
 def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...],
-          vanished: tuple[bool, ...]):
-    """(m, direct, levels): the cell's scan plan for every algebra whose
-    nonzero structure constants sit at support and whose shared monomial
-    sums (see _sums) vanish where vanished says.
+          vanished: tuple[int, ...] = ()):
+    """(m, sums, direct, levels): the cell's scan plan for every algebra
+    whose nonzero structure constants sit at support and whose shared
+    monomial sums vanish at the positions vanished lists, and no other.
+
+    sums holds, for each monomial that more than one nonzero constant
+    feeds, the coefficient indices whose sum is its coefficient: index
+    i < k is the i-th of the k nonzero constants, k + i its negation.  The
+    sums depend on the support alone, and an algebra binds them before it
+    knows which vanish.  A plan that a constant condition kills lists none:
+    a condition's constant monomial is fed by one structure constant alone,
+    so no sum that vanishes can bring the cell back.
 
     Coefficients are indices into a list the algebra binds: its k nonzero
     constants, their k negations, each shared sum followed by its negation,
@@ -368,9 +352,14 @@ def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...],
     first.  levels is None when a nonzero constant condition kills the
     whole cell.
     """
-    m, polys = _polys(dt, kind, support)
+    m, feeds = _template(dt, kind)
     k = len(support)
-    shared = 2 * k  # the index of the next shared sum
+    # polys[condition][variables]: the indices summing to that coefficient
+    polys: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    for i, slot in enumerate(support):
+        for ci, minus, key in feeds[slot]:
+            polys.setdefault(ci, {}).setdefault(key, []).append(k + i if minus else i)
+    sums: list[tuple[int, ...]] = []
     by_top: dict[int, list] = {}
     used: set[int] = set()
     for poly in polys.values():
@@ -379,17 +368,18 @@ def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...],
             if len(ids) == 1:
                 monos.append((ids[0], key))
             else:
-                if not vanished[(shared - 2 * k) // 2]:
-                    monos.append((shared, key))
-                shared += 2
+                if len(sums) not in vanished:
+                    monos.append((2 * (k + len(sums)), key))
+                sums.append(tuple(ids))
         if not monos:
             continue
         keys = [key for _, key in monos]
         if keys == [()]:  # a nonzero constant: no matrix of the cell solves it
-            return m, (), None
+            return m, (), (), None
         used.update(*keys)
         by_top.setdefault(max([key[-1] for key in keys if key]), []).append(
             (max(map(len, keys)), len(monos), monos))
+    shared = 2 * (k + len(sums))  # the index of the first -a[i]/b
 
     def neg(i):
         # the index of minus coefficient i
@@ -428,21 +418,26 @@ def _plan(dt: DiagonalType, kind: str, support: tuple[int, ...],
             levels.append((var, DIRECT,
                            tuple((first + t, key) for t, (_, key) in enumerate(a)),
                            None, None, filters))
-    return m, tuple(direct), tuple(levels)
+    return m, tuple(sums), tuple(direct), tuple(levels)
 
 
 def _conditions(L: LieAlgebra, dt: DiagonalType, kind: str):
     """(m, levels, coeffs): the cell's scan plan for L (see _plan) and the
-    coefficients its indices name, bound from L's nonzero constants."""
+    coefficients its indices name, bound from L's nonzero constants.  Only
+    when one of the plan's shared sums is zero for L does it take the plan
+    compiled for the sums that vanish instead."""
     ctx = L.ctx
     support, coeffs = _nonzero(L)
     coeffs = list(coeffs)
+    m, sums, direct, levels = _plan(dt, kind, support)
     vanished = []
-    for ids in _sums(dt, kind, support):
+    for j, ids in enumerate(sums):
         total = reduce(ctx.add, [coeffs[i] for i in ids])
         coeffs += [total, ctx.neg(total)]
-        vanished.append(not total)
-    m, direct, levels = _plan(dt, kind, support, tuple(vanished))
+        if not total:
+            vanished.append(j)
+    if vanished:
+        m, _, direct, levels = _plan(dt, kind, support, tuple(vanished))
     for b, ids in direct:
         s = ctx.neg(ctx.inv(coeffs[b]))
         coeffs += [ctx.mul(s, coeffs[i]) for i in ids]

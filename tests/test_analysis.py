@@ -147,6 +147,15 @@ def test_v720_classification_tests_each_prime_once(monkeypatch):
             an.check_v720_classification([bad])
 
 
+def test_v720_classification_raises_on_a_wrong_count(monkeypatch, no_held_roots):
+    # one prime's count off by one: the check names that prime
+    real = an.count_roots
+    monkeypatch.setattr(an, "count_roots",
+                        lambda f, ctx: real(f, ctx) + (ctx.p == 31))
+    with pytest.raises(an.ClassificationViolation, match=r"^p=31: counted 4 "):
+        an.check_v720_classification(an.primes_in(5, 300))
+
+
 def reference_roots(int_coeffs, p):
     """The root count of an integer polynomial mod p with nothing kept: the
     loop residue_profile and check_v720_classification ran before

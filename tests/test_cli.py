@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +15,7 @@ from fqzeta import analysis, cli
 from fqzeta.cli import (EXIT_GUARD, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                         EXIT_PARSE, display_from_record, main, parse_int_poly)
 from fqzeta.formulas import TABLE_VERSION
+from fqzeta.gf import count_roots, make_field
 
 
 def run(capsys, *argv):
@@ -394,6 +395,32 @@ def test_porc_x2_minus_1(capsys):
     assert "exceptions=[2]" in out  # p = 2 is the lone deviation at N = 1
 
 
+@pytest.mark.parametrize("poly, label, lo, verdict", [
+    ("v720", "V7_2(2,0) = 2x^3+1", 5, "PASS"),
+    ("x^2-1", "x^2-1", 2, None),
+])
+def test_porc_out_records(poly, label, lo, verdict, tmp_path, capsys):
+    # one record per prime with its count, then one summary; only v720 has
+    # a classification verdict
+    path = tmp_path / "porc.jsonl"
+    code, out, _ = run(capsys, "porc", "--poly", poly, "--pmax", "100",
+                       "--out", str(path))
+    assert code == EXIT_OK
+    *rows, summary = jsonl(path.read_text())
+    primes = analysis.primes_in(lo, 100)
+    coeffs = parse_int_poly("2x^3+1" if poly == "v720" else poly)
+    want = [(p, count_roots([c % p for c in coeffs], make_field(p, 1)))
+            for p in primes]
+    assert [(r["command"], r["poly"]) for r in rows] == [("porc", label)] * len(primes)
+    assert [(r["p"], r["count"]) for r in rows] == want
+    prof = analysis.residue_profile(coeffs, primes)
+    assert summary["command"] == "porc.summary" and summary["poly"] == label
+    assert summary["verdict"] == verdict
+    assert summary["smallest_consistent_n"] == prof.smallest_consistent_n
+    assert summary["counts"] == {str(c): n for c, n in
+                                 sorted(Counter(c for _, c in want).items())}
+
+
 def test_porc_empty_sample_warning(capsys):
     # v720 starts at p = 5: a valid bound below it holds no usable prime
     for pmax in ("2", "3"):
@@ -596,6 +623,19 @@ def test_empty_families_exit_2(cmd, capsys):
     assert time.perf_counter() - t0 < 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--q-set", "3,x"], "bad --q-set '3,x'"),
+    (["--q-set", ","], "empty --q-set"),
+    (["--q-set", "3", "--kinds", "all"],
+     "--kinds must be sub, ideal or both, got 'all'"),
+    (["--q-set", "3", "--families", "L3,X9"], "unknown family 'X9'"),
+])
+def test_bad_campaign_options_exit_2(argv, message, capsys):
+    code, out, err = run(capsys, "iso", *argv)
+    assert code == EXIT_PARSE
+    assert err == f"error: {message}\n" and not out
+
+
 def test_iso_negative_limit_exit_2(capsys):
     code, out, err = run(capsys, "iso", "--q-set", "5", "--limit", "-1")
     assert code == EXIT_PARSE
@@ -628,3 +668,17 @@ def test_period_cli(capsys):
                        "--q-set", "5,7,11,13")
     assert code == EXIT_OK
     assert "equal" in out and "DIFFER" not in out
+
+
+def test_period_detail(capsys):
+    # one line per parameter tuple, from the same estimates as the summary
+    code, out, _ = run(capsys, "period", "--families", "L3", "--q-set", "5,7",
+                       "--detail")
+    assert code == EXIT_OK
+    sub, idl, _ = analysis.period_parity("L3", [5, 7])
+    want = [f"    params={ts.int_params} sub={ts.realized} ideal={ti.realized} "
+            f"kept={list(ts.kept_q)} skipped={list(ts.skipped_q)}"
+            for ts, ti in zip(sub.per_tuple, idl.per_tuple)]
+    assert [line for line in out.splitlines() if "params=" in line] == want
+    assert len(want) == 8
+    assert "    params=(5,) sub=1 ideal=1 kept=[7] skipped=[5]" in want

@@ -259,6 +259,7 @@ def test_fermat_lagrange():
         ctx = make_field(p, k)
         for x in range(1, ctx.q):
             assert ctx.pow(x, ctx.q - 1) == 1
+            assert ctx.pow(x, -1) == ctx.inv(x)
 
 
 def test_count_roots_examples():

@@ -6,6 +6,7 @@ or plan: interleaving fields and families must give the scalar counts on
 every cell."""
 
 import itertools
+from collections import Counter
 
 from fqzeta import oracle, rrdf
 from fqzeta.gf import make_field
@@ -18,8 +19,7 @@ KINDS = ("ideal", "subalgebra")
 
 def test_templates_hold_nothing_of_an_algebra_or_field():
     # a template is read only when a plan is compiled, so clear both
-    for cache in (rrdf._template, rrdf._polys, rrdf._plan, rrdf._sums,
-                  oracle._template, oracle._plan):
+    for cache in (rrdf._template, rrdf._plan, oracle._template, oracle._plan):
         cache.cache_clear()
     # F_5, F_4, then F_5 again; parameters are field elements in each
     rows = 0
@@ -73,7 +73,7 @@ def _diagonal_action(ctx, alpha, beta):
 
 
 def test_plans_are_compiled_per_support_and_bound_per_algebra():
-    for cache in (oracle._plan, rrdf._plan, rrdf._sums):
+    for cache in (oracle._plan, rrdf._plan):
         cache.cache_clear()
         assert cache.cache_info().maxsize is not None  # bounded
     ctx = make_field(7, 1)
@@ -103,12 +103,33 @@ def test_plans_are_compiled_per_support_and_bound_per_algebra():
     assert _plan_misses() == misses
 
 
-def test_one_template_walk_per_cell_route_plan_miss():
-    # _sums and then _plan read a new support's conditions: one walk serves both
-    for cache in (rrdf._polys, rrdf._sums, rrdf._plan):
-        cache.cache_clear()
+def test_one_template_walk_per_cell_route_plan_miss(monkeypatch):
+    # a plan miss walks the template once, and that walk also lists the
+    # support's shared sums; a plan for the sums that vanish is a miss of
+    # its own, with a walk of its own
+    rrdf._plan.cache_clear()
+    template, plan = rrdf._template, rrdf._plan
+    walks, keys = [], []
+    monkeypatch.setattr(rrdf, "_template",
+                        lambda *key: walks.append(key) or template(*key))
+    monkeypatch.setattr(rrdf, "_plan", lambda *key: keys.append(key) or plan(*key))
     ctx = make_field(7, 1)
     _counts_match_scalar(catalog("M6", (2, 3), ctx))
+    assert {len(key) for key in keys} == {3}  # no sum vanishes
     _counts_match_scalar(_diagonal_action(ctx, 4, 4))
-    misses = rrdf._plan.cache_info().misses
-    assert misses > 0 and rrdf._polys.cache_info().misses == misses
+    assert any(len(key) == 4 for key in keys)  # some sums vanish
+    misses = set(keys)
+    assert len(misses) > 0 and plan.cache_info().misses == len(misses)
+    assert Counter(walks) == Counter(key[:2] for key in misses)
+
+
+def test_cell_route_constant_monomials_have_one_feed():
+    # a condition's constant monomial (m_i C_j M#)_k reads sc[i][j][k] alone,
+    # so a plan that a nonzero constant kills lists no shared sum: none can
+    # bring the cell back when it vanishes
+    for n in range(1, 5):
+        for dt in diagonal_types(n):
+            for kind in KINDS:
+                _, feeds = rrdf._template(dt, kind)
+                constants = [ci for feed in feeds for ci, _, key in feed if not key]
+                assert len(constants) == len(set(constants)), (dt, kind)
