@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, isqrt
 
-from .gf import NotPrime, count_roots, field_of_order, is_prime, make_field
+from .gf import NotPrime, count_roots_over_primes, field_of_order, is_prime
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
 from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
@@ -161,12 +161,12 @@ def verify_campaign(families=None, q_set=(2, 3, 5), kinds=("subalgebra", "ideal"
 
 N_MAX = 60  # largest modulus residue_profile classifies by
 P_MAX = 10**6  # largest bound primes_in sieves to
-# Largest porc work (degree times the sum of the sampled primes, about the
-# Horner steps of the root counts) residue_profile runs.  It admits 2x^3 + 1
-# up to --pmax 10^5 (1.4e9: `porc --pmax 100000` takes 3.3-3.8 s on a
-# 2-core host) and a degree of up to 348 at the default --pmax 10^4;
-# x^20000 - 1 at 10^4 (1.1e11) and 2x^3 + 1 at 10^6 (the same work) are
-# refused.
+# Largest porc work (degree times the sum of the sampled primes; the sum is
+# the number of zero tests of the root counts, one per prime and element)
+# residue_profile runs.  It admits 2x^3 + 1 up to --pmax 10^5 (1.4e9:
+# `porc --pmax 100000` takes 0.9-1.6 s on a 2-core host) and a degree of
+# up to 348 at the default --pmax 10^4; x^20000 - 1 at 10^4 (1.1e11) and
+# 2x^3 + 1 at 10^6 (the same work) are refused.
 PORC_WORK_LIMIT = 2 * 10**9
 
 
@@ -177,19 +177,21 @@ PORC_WORK_LIMIT = 2 * 10**9
 _held_roots: tuple[tuple[int, ...], dict[int, int]] = ((), {})
 
 
-def _roots_mod(int_coeffs: tuple[int, ...], p: int) -> int:
-    """Number of roots in F_p of the integer polynomial int_coeffs (low
-    degree first), by gf.count_roots; a count of the last polynomial is
-    reused."""
+def _roots_mod(int_coeffs: tuple[int, ...], primes) -> list[int]:
+    """The number of roots in F_p of the integer polynomial int_coeffs (low
+    degree first) for each p of the list primes.  The primes without a kept
+    count of this polynomial are counted in one gf.count_roots_over_primes
+    call; the kept counts of the last polynomial are reused."""
     global _held_roots
     # read the pair once: a count is only ever stored with its own polynomial
     held, counts = _held_roots
     if held != int_coeffs:
         counts = {}
         _held_roots = (int_coeffs, counts)
-    if p not in counts:
-        counts[p] = count_roots([c % p for c in int_coeffs], make_field(p, 1))
-    return counts[p]
+    new = [p for p in primes if p not in counts]
+    if new:
+        counts.update(zip(new, count_roots_over_primes(int_coeffs, new)))
+    return [counts[p] for p in primes]
 
 
 def check_porc_work(degree: int, primes) -> None:
@@ -247,11 +249,15 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     collects the primes that deviate from their class's majority count, so
     "consistent at N=1 except p=2" style statements can be read off directly.
     An n_max above N_MAX, or work above PORC_WORK_LIMIT, raises
-    GuardExceeded before any root is counted.  The root counts of the last
-    profiled polynomial are kept, and a later count of the same polynomial
-    mod a kept prime (a check_v720_classification after a profile of
-    2x^3 + 1) reads them; a different polynomial replaces them, so one
-    polynomial's counts are held, at most one per prime p <= 2^20.
+    GuardExceeded before any root is counted, and a sampled number that is
+    not a prime up to 2^20 raises NotPrime or TooLarge, also before any
+    count.  The counts of all the primes are made in one
+    gf.count_roots_over_primes call, one exhaustive scan whose integer
+    values f(x) every prime small enough for exact int64 shares.  The root
+    counts of the last profiled polynomial are kept, and a later count of
+    the same polynomial mod a kept prime (a check_v720_classification after
+    a profile of 2x^3 + 1) reads them; a different polynomial replaces them,
+    so one polynomial's counts are held, at most one per prime p <= 2^20.
     """
     if n_max > N_MAX:
         raise GuardExceeded(f"porc guard: modulus bound n_max (--nmax) capped at "
@@ -259,7 +265,7 @@ def residue_profile(int_coeffs, primes, n_max: int = 12,
     int_coeffs = tuple(int(c) for c in int_coeffs)
     primes = list(primes)
     check_porc_work(len(int_coeffs) - 1, primes)
-    samples = [(p, _roots_mod(int_coeffs, p)) for p in primes]
+    samples = list(zip(primes, _roots_mod(int_coeffs, primes)))
     profiles: dict[int, ModulusProfile] = {}
     smallest = None
     for n in range(1, n_max + 1):
@@ -353,7 +359,7 @@ def check_v720_classification(primes) -> V720Report:
     for p in primes:
         if p < 5 or not is_prime(p):
             raise ValueError(f"classification needs primes >= 5, got {p}")
-        cnt = _roots_mod((1, 0, 0, 2), p)
+        [cnt] = _roots_mod((1, 0, 0, 2), [p])
         rep = None if p % 3 == 2 else _a2_plus_27b2(p)  # p was tested prime above
         expected = 1 if p % 3 == 2 else 3 if rep else 0
         if cnt != expected:

@@ -14,8 +14,12 @@ Roots are counted by exhaustive scan, never by factorisation.
 count_roots(f, ctx) counts one polynomial's roots and count_roots_many
 (polys, ctx) those of many over one field; both run the one blocked scan
 that count_roots' docstring describes, and a batch shares each numpy call of
-the scan among up to BLOCK (polynomial, element) entries.  Neither keeps a
-count past its call.
+the scan among up to BLOCK (polynomial, element) entries.
+count_roots_over_primes(int_coeffs, primes) counts one integer polynomial's
+roots mod many primes: the primes for which f(x) stays exact in int64 share
+one blocked evaluation of f over the integers and run only count_roots'
+zero test on it, and the others go through count_roots.  None of them keeps
+a count past its call.
 
 An order q names a field when it is a prime power p^k <= Q_LIMIT = 2^20.
 field_of_order(q), the one place that turns an order into its field, raises
@@ -48,6 +52,7 @@ uint16 from uint16 rows of elements never wraps.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -82,12 +87,18 @@ class DivisionByZero(ZeroDivisionError):
 
 
 def _least_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division."""
-    d = 2
+    """The least prime factor of n >= 2, by trial division by 2, 3 and the
+    d = 6k +- 1, which include every prime above 3."""
+    for d in (2, 3):
+        if n % d == 0:
+            return d
+    d = 5
     while d * d <= n:
         if n % d == 0:
             return d
-        d += 1
+        if n % (d + 2) == 0:
+            return d + 2
+        d += 6
     return n
 
 
@@ -404,6 +415,8 @@ def count_roots(f, ctx: FieldCtx) -> int:
     c_j' * (1 + g^(log c_j - log c_j' + u + (j - j') i)), one zech lookup;
     an index past Z clips to zech[Z] = 0.  The scan is the ground truth of
     the package; it is never replaced by factorisation.
+    count_roots_over_primes runs the same zero test for many primes on
+    integer values of f that it evaluates once for all of them.
     """
     return _count_roots([f], ctx)[0]
 
@@ -447,6 +460,90 @@ def _count_roots(polys, ctx: FieldCtx) -> list[int]:
         counts = iter((_scan_fp if prime else _scan_fq)(rows, ctx))
         out = [next(counts) if c is None else c for c in out]
     return out
+
+
+def count_roots_over_primes(int_coeffs, primes) -> list[int]:
+    """[count_roots([c % p for c in int_coeffs], make_field(p, 1)) for p in
+    primes]: the roots in F_p of one integer polynomial (low degree first)
+    for every p, counted in one exhaustive scan that all small primes share.
+
+    Every p is checked before anything is counted, as make_field(p, 1)
+    checks it: TooLarge above Q_LIMIT, then NotPrime.  A prime p with
+    B(p) = sum |c_i| (p - 1)^i < 2^63 shares the scan: B(p) bounds |f(x)|
+    and every Horner intermediate for 0 <= x < p, so f(x) is evaluated once
+    per block of BLOCK consecutive x, in exact int64 with the coefficients
+    unreduced, and each such prime above the block's start runs count_roots'
+    zero test (by p^-1 mod 2^64, p = 2 by the low bit) on |f(x)| for its
+    x < p.  p | f(x) over the integers iff f(x) = 0 mod p, so a leading
+    coefficient divisible by p, a polynomial that vanishes mod p and integer
+    roots need nothing of their own.  B increases with p: the primes at or
+    above the bound are the tail of the sorted primes past one bisection,
+    and each is counted by count_roots over make_field(p, 1).  Memory is a
+    few BLOCK-sized arrays, whatever the largest prime.  Every x in F_p is
+    tested for every p; nothing is factored.
+    """
+    primes = list(primes)
+    distinct = dict.fromkeys(primes)
+    for p in distinct:
+        if p > Q_LIMIT:
+            raise TooLarge(f"q = {p}^1 exceeds the {Q_LIMIT} cap")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+    cs = [int(c) for c in int_coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    if len(cs) < 2:  # a constant c: every x is a root mod the p dividing c
+        return [0 if cs and cs[0] % p else p for p in primes]
+    ps = sorted(distinct)
+    split = bisect_left(ps, 1 << 63, key=lambda p: _value_bound(cs, p))
+    counts = dict(zip(ps[:split], _scan_primes(cs, ps[:split])))
+    for p in ps[split:]:
+        counts[p] = count_roots([c % p for c in cs], make_field(p, 1))
+    return [counts[p] for p in primes]
+
+
+def _value_bound(cs, p: int) -> int:
+    """B(p) = sum |c_i| (p - 1)^i, which bounds |f(x)| and every Horner
+    intermediate of f = cs for 0 <= x < p."""
+    b = 0
+    for c in reversed(cs):
+        b = b * (p - 1) + abs(c)
+    return b
+
+
+def _scan_primes(cs, primes) -> list[int]:
+    """Roots mod each of primes (ascending, each with _value_bound(cs, p) <
+    2^63) of the integer polynomial cs (degree >= 1), in the one scan of
+    count_roots_over_primes' docstring."""
+    if not primes:
+        return []
+    lead, *rest = cs[::-1]
+    # p^-1 mod 2^64 (0 for p = 2) and (2^64 - 1) // p for each prime
+    pinvs = np.fromiter((pow(p, -1, 1 << 64) if p > 2 else 0 for p in primes),
+                        dtype=np.uint64, count=len(primes))
+    tops = np.uint64((1 << 64) - 1) // np.array(primes, dtype=np.uint64)
+    zeros = [0] * len(primes)
+    v, t = np.empty(BLOCK, dtype=np.int64), np.empty(BLOCK, dtype=np.uint64)
+    u, hit = v.view(np.uint64), np.empty(BLOCK, dtype=bool)
+    end = primes[-1]
+    for lo in range(0, end, BLOCK):
+        n = min(BLOCK, end - lo)
+        x = np.arange(lo, lo + n, dtype=np.int64)
+        f = np.multiply(x, lead, out=v[:n])
+        for i, c in enumerate(rest, 1):
+            if c:
+                f += c
+            if i < len(rest):
+                f *= x
+        np.abs(f, out=f)  # |f(x)| < 2^63, read below as uint64
+        for j in range(bisect_right(primes, lo), len(primes)):
+            k = min(n, primes[j] - lo)  # the block's x < p
+            if primes[j] == 2:
+                zeros[j] += k - int(np.count_nonzero(u[:k] & 1))
+            else:  # p | v iff v * p^-1 mod 2^64 <= (2^64 - 1) // p
+                np.multiply(u[:k], pinvs[j], out=t[:k])
+                zeros[j] += int(np.count_nonzero(np.less_equal(t[:k], tops[j], out=hit[:k])))
+    return zeros
 
 
 def _columns(chunk):

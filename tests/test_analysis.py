@@ -149,9 +149,9 @@ def test_v720_classification_tests_each_prime_once(monkeypatch):
 
 def test_v720_classification_raises_on_a_wrong_count(monkeypatch, no_held_roots):
     # one prime's count off by one: the check names that prime
-    real = an.count_roots
-    monkeypatch.setattr(an, "count_roots",
-                        lambda f, ctx: real(f, ctx) + (ctx.p == 31))
+    real = an.count_roots_over_primes
+    monkeypatch.setattr(an, "count_roots_over_primes", lambda int_coeffs, primes: [
+        c + (p == 31) for p, c in zip(primes, real(int_coeffs, primes))])
     with pytest.raises(an.ClassificationViolation, match=r"^p=31: counted 4 "):
         an.check_v720_classification(an.primes_in(5, 300))
 
@@ -161,6 +161,11 @@ def reference_roots(int_coeffs, p):
     loop residue_profile and check_v720_classification ran before
     analysis._roots_mod."""
     return count_roots([c % p for c in int_coeffs], make_field(p, 1))
+
+
+def reference_roots_mod(int_coeffs, primes):
+    """analysis._roots_mod's counts by reference_roots, one prime at a time."""
+    return [reference_roots(int_coeffs, p) for p in primes]
 
 
 V720 = (1, 0, 0, 2)
@@ -190,7 +195,7 @@ def test_kept_root_counts_match_the_reference_loop(monkeypatch, no_held_roots):
         assert prof.samples == [(p, reference_roots(prof.int_coeffs, p))
                                 for p, _ in prof.samples]
     with monkeypatch.context() as m:
-        m.setattr(an, "_roots_mod", reference_roots)
+        m.setattr(an, "_roots_mod", reference_roots_mod)
         assert porc_session(primes) == kept
 
 
@@ -204,13 +209,13 @@ def test_only_the_last_polynomials_counts_are_held(no_held_roots):
 
 def test_v720_check_after_its_profile_counts_nothing(monkeypatch, no_held_roots):
     primes = an.primes_in(5, 3000)
-    real, counted = an.count_roots, []
+    real, counted = an.count_roots_over_primes, []
 
-    def count_roots(f, ctx):
-        counted.append(ctx.p)
-        return real(f, ctx)
+    def count_roots_over_primes(int_coeffs, primes):
+        counted.extend(primes)
+        return real(int_coeffs, primes)
 
-    monkeypatch.setattr(an, "count_roots", count_roots)
+    monkeypatch.setattr(an, "count_roots_over_primes", count_roots_over_primes)
     prof = an.residue_profile(V720, primes)
     assert counted == primes
     counted.clear()
@@ -244,6 +249,19 @@ def test_residue_profile_v720_not_consistent():
     assert {0, 3} <= mod3
     w = prof.profiles[3].witness
     assert w is not None and w[0][0] % 3 == w[1][0] % 3
+
+
+def test_residue_profile_two_primes_of_a_class_decide():
+    # 2x^3 + 1 counts 1 root mod 5, none mod 7 and 3 mod 31 = 2^2 + 27: at
+    # N = 3 and N = 4 the only class with more than one prime holds exactly
+    # 7 and 31, and their counts differ, so neither modulus is consistent
+    prof = an.residue_profile(V720, [5, 7, 31], n_max=6)
+    assert prof.samples == [(5, 1), (7, 0), (31, 3)]
+    for n in (3, 4):
+        assert prof.profiles[n].consistent is False
+        assert prof.profiles[n].witness == ((7, 0), (31, 3))
+        assert prof.profiles[n].exceptions == (31,)
+    assert prof.smallest_consistent_n == 5
 
 
 def test_residue_profile_nmax_guard():
@@ -283,7 +301,8 @@ def test_porc_work_limit_admits_the_benchmark_and_the_defaults(monkeypatch,
     prof = an.residue_profile([-1, 0, 1], (p for p in (3, 5, 7)), n_max=2)
     assert prof.samples == [(3, 2), (5, 2), (7, 2)]
     counted = []
-    monkeypatch.setattr(an, "count_roots", lambda f, ctx: counted.append(f))
+    monkeypatch.setattr(an, "count_roots_over_primes",
+                        lambda int_coeffs, primes: counted.append(int_coeffs))
     with pytest.raises(GuardExceeded, match="porc guard"):
         an.residue_profile([-1] + [0] * 19999 + [1], an.primes_in(2, 10**4))
     assert not counted

@@ -373,13 +373,13 @@ def test_porc_v720(capsys):
 
 def test_porc_v720_counts_each_prime_once(capsys, monkeypatch, no_held_roots):
     # the classification check reads the counts the profile made
-    real, counted = analysis.count_roots, []
+    real, counted = analysis.count_roots_over_primes, []
 
-    def count_roots(f, ctx):
-        counted.append(ctx.p)
-        return real(f, ctx)
+    def count_roots_over_primes(int_coeffs, primes):
+        counted.extend(primes)
+        return real(int_coeffs, primes)
 
-    monkeypatch.setattr(analysis, "count_roots", count_roots)
+    monkeypatch.setattr(analysis, "count_roots_over_primes", count_roots_over_primes)
     code, out, _ = run(capsys, "porc", "--poly", "v720", "--pmax", "2000")
     assert code == EXIT_OK
     assert "classification check: PASS for all 301 primes" in out
@@ -450,10 +450,10 @@ def test_porc_nmax_over_cap_exit_3(capsys):
 def test_porc_caps_refused_before_any_root(capsys, monkeypatch, no_held_roots):
     # the caps live in analysis; the CLI maps them to exit 3, also when the
     # sample is empty, and counts no root first
-    def count_roots(*args):
+    def count_roots_over_primes(*args):
         raise AssertionError("a root was counted")
 
-    monkeypatch.setattr(analysis, "count_roots", count_roots)
+    monkeypatch.setattr(analysis, "count_roots_over_primes", count_roots_over_primes)
     for argv in (["--pmax", "1000001"], ["--nmax", "61"],
                  ["--poly", "v720", "--pmax", "3", "--nmax", "61"]):
         code, out, err = run(capsys, "porc", *argv)
@@ -471,7 +471,7 @@ def test_porc_work_over_the_limit_exit_3(argv, capsys, monkeypatch,
     def refuse(*args):
         raise AssertionError("refused too late")
 
-    monkeypatch.setattr(analysis, "count_roots", refuse)
+    monkeypatch.setattr(analysis, "count_roots_over_primes", refuse)
     monkeypatch.setattr(cli, "_dense", refuse)  # builds the coefficient list
     t0 = time.perf_counter()
     code, out, err = run(capsys, "porc", *argv)

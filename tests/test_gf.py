@@ -12,8 +12,8 @@ from math import isqrt
 from fqzeta import gf
 from fqzeta.gf import (BLOCK, Q_LIMIT, DegreeZero,
                        DivisionByZero, FieldCtx, NotPrime, TooLarge, UniPoly,
-                       count_roots, count_roots_many, field_of_order, is_prime,
-                       make_field)
+                       count_roots, count_roots_many, count_roots_over_primes,
+                       field_of_order, is_prime, make_field)
 
 
 def brute_poly_eval_fp(coeffs, x, p):
@@ -564,6 +564,108 @@ def test_count_roots_many_memory_is_one_block():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (ctx.q, peak)
+
+
+def test_least_factor_matches_a_sieve():
+    # 2, 3 and then d = 6k +- 1: every n in 2..2*10^5 against the least prime
+    # factor a sieve of Eratosthenes records
+    top = 2 * 10**5
+    least = list(range(top + 1))
+    for d in range(2, isqrt(top) + 1):
+        if least[d] == d:
+            for m in range(d * d, top + 1, d):
+                least[m] = min(least[m], d)
+    assert all(gf._least_factor(n) == least[n] for n in range(2, top + 1))
+
+
+def _per_prime(int_coeffs, primes):
+    return [count_roots([c % p for c in int_coeffs], make_field(p, 1)) for p in primes]
+
+
+def test_count_roots_over_primes_matches_count_roots():
+    # seeded integer polynomials of degree 1-5 with negative coefficients,
+    # then the cases the shared scan meets without code of its own: leading
+    # coefficients divisible by sampled primes (35 = 5 * 7, -5998 = -2 * 2999),
+    # every coefficient divisible by 2, 3 and 5, integer roots (f(x) = 0
+    # over the integers), constants and the zero polynomial
+    rng = random.Random(26)
+    primes = [p for p in range(2, 3000) if is_prime(p)]
+    polys = [[rng.randint(-10**e, 10**e) for e in rng.choices(range(7), k=d + 1)]
+             for d in rng.choices(range(1, 6), k=40)]
+    polys += [[1, 0, 0, 35], [3, -7, 0, -5998], [-30, 0, 60], [30, -60, 0, 90],
+              [-6, 11, -6, 1], [0, -4, 0, 1], [12, 0, 0, 0, -1], [7], [-30], [0], [],
+              [1, 0, 0, 2, 0, 0]]
+    assert any(c < 0 for f in polys[:40] for c in f)
+    for f in polys:
+        got = count_roots_over_primes(f, primes)
+        assert got == _per_prime(f, primes), f
+        assert all(type(c) is int for c in got), f
+    # any order, repeats, p = 2 alone and no prime at all
+    mixed = [7, 2, 7, 3]
+    assert count_roots_over_primes([1, 1, 1], mixed) == _per_prime([1, 1, 1], mixed)
+    assert count_roots_over_primes([1, 1, 1], iter([2])) == [0]
+    assert count_roots_over_primes([0, 0, 1], [2]) == [1]
+    assert count_roots_over_primes([3, 1], [2]) == [1]
+    assert count_roots_over_primes([2, 4, 2], [2]) == [2]
+    assert count_roots_over_primes([1, 0, 0, 2], []) == []
+
+
+def test_count_roots_over_primes_at_the_int64_bound(monkeypatch):
+    # a prime shares the scan while B(p) = sum |c_i| (p - 1)^i < 2^63, and
+    # count_roots over make_field(p, 1) counts the rest: x^6 + x + 1 splits
+    # at p = 1447 | 1451; x + c, x - c and -x - c put B(P) = 2^63 - 1, the
+    # largest |f(x)| the scan may meet, at the prime P = 2999, and one more
+    # in c puts B(P) at 2^63, which leaves P alone to count_roots; a
+    # coefficient of 2^63 leaves every prime to it
+    primes = [p for p in range(2, 3000) if is_prime(p)]
+    P, big = 2999, (1 << 63) - 1
+    cases = [([1, 1, 0, 0, 0, 0, 1], 1447), ([big - (P - 1), 1], P),
+             ([-(big - (P - 1)), 1], P), ([-(big - (P - 1)), -1], P),
+             ([big - (P - 2), 1], 2971),
+             ([1, 1 << 63], None), ([1, 0, 0, 2], P)]
+    real_count, real_scan = gf.count_roots, gf._scan_primes
+    for f, last in cases:
+        shared = [p for p in primes if gf._value_bound(f, p) < 1 << 63]
+        assert (shared[-1] if shared else None) == last, f
+        counted, scanned = [], []
+        monkeypatch.setattr(gf, "count_roots",
+                            lambda g, ctx: counted.append(ctx.p) or real_count(g, ctx))
+        monkeypatch.setattr(gf, "_scan_primes",
+                            lambda cs, ps: scanned.append(ps) or real_scan(cs, ps))
+        got = count_roots_over_primes(f, primes)
+        monkeypatch.undo()
+        assert scanned == [shared] and counted == primes[len(shared):], f
+        assert got == _per_prime(f, primes), f
+
+
+@pytest.mark.parametrize("primes, error", [
+    ([5, 7, 9, 11], NotPrime), ([2, 1], NotPrime), ([3, 0], NotPrime),
+    ([-7], NotPrime), ([2, 1048583, 4], TooLarge), ([1048573, 1 << 21], TooLarge)])
+def test_count_roots_over_primes_checks_every_prime_first(primes, error, monkeypatch):
+    # as make_field(p, 1) would: TooLarge above Q_LIMIT (1048583 is the
+    # least prime above it), NotPrime below it, before any root is counted
+    def refuse(*args):
+        raise AssertionError("counted before every prime was checked")
+
+    monkeypatch.setattr(gf, "count_roots", refuse)
+    monkeypatch.setattr(gf, "_scan_primes", refuse)
+    with pytest.raises(error):
+        count_roots_over_primes([1, 0, 0, 2], primes)
+
+
+def test_count_roots_over_primes_memory_is_one_block():
+    # the shared scan runs over every x below the largest prime, 1048573,
+    # in blocks: a few BLOCK-sized arrays, never f over [0, p) (8 MiB)
+    primes = [2, 3, 1048573]
+    count_roots_over_primes([1, 0, 0, 2], primes)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        counts = count_roots_over_primes([1, 0, 0, 2], primes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert counts == _per_prime([1, 0, 0, 2], primes)
 
 
 def test_unipoly_degree():
