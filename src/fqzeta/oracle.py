@@ -9,20 +9,24 @@ routes only share the field arithmetic itself.
 
 The batched count binds the free entries of a cell one at a time, in
 row-major order; each membership test (one bracket, one non-pivot column)
-belongs to the level of its highest free entry.  A level with tests
-evaluates them all on the candidate grid, the q values of its entry x
-crossed with the parent rows (x-major, shape (q, rows)), ANDs them into one
-mask and materialises only the survivors.  Each bracket coordinate is split
-into A + B*x, where A and B read only earlier entries and so are gathered on
-the parent rows.  Every basis entry b_t[c] of a residual is x or an earlier
-entry, so the residual w_c - sum_t w_(p_t) * b_t[c] is collected on the
-parent rows too, as r0 + r1*x + r2*x^2, and only x*(r1 + r2*x) == -r0 is
-evaluated on the grid.  A level without tests expands every row by all q
-values.  Every candidate is tested; nothing is solved for x.  A test that
-reads no free entry is one field constant, decided with ctx.add before the
-scan starts.  Rows are uint16 and field arithmetic is a flat gather,
-table.take(a*q + b), on the tables of FieldCtx.tables() in the format the gf
-module states, fetched once per _count_cell_vector call.
+belongs to the level of its highest free entry.  Each bracket coordinate is
+split into A + B*x, where x is the level's entry and A and B read only
+earlier entries, and so are gathered on the parent rows.  Every basis entry
+b_t[c] of a residual is x or an earlier entry, so the residual
+w_c - sum_t w_(p_t) * b_t[c] is collected on the parent rows too, as
+r0 + r1*x + r2*x^2.  The field's zero-mask table (_zeros, built once per
+field by evaluating r2*x^2 + r1*x + r0 at all q values of x) holds at
+(r2*q + r1)*q + r0 a mask whose bit x is set exactly when x is a zero, so
+one gather per test and parent row decides the test for every candidate x,
+and the AND of a level's masks names the x that pass all its tests.  The
+last level counts those bits by popcount; an earlier one turns them into
+the next rows, one per (parent row, x) pair that passes.  A level without
+tests expands every row by all q values.  Every candidate is still tested,
+through the table's evaluation of the test at that x; nothing is solved for
+x.  A test that reads no free entry is one field constant, decided with
+ctx.add before the scan starts.  Rows are uint16 and field arithmetic is a
+flat gather, table.take(a*q + b), on the tables of FieldCtx.tables() in the
+format the gf module states, fetched once per _count_cell_vector call.
 
 The tests depend on the algebra only through its structure constants.  A
 template built once per (pivots, n, kind), on first use, and cached for the
@@ -172,7 +176,8 @@ def _plan(pivots: tuple[int, ...], n: int, kind: str, support: tuple[int, ...]):
     level's tests read, each as (A, B) with A + B*x the coordinate and A, B
     lists of (value index, earlier variables) monomials over the parent
     rows.  checks holds one (split of w_c, terms) per test, a term (split
-    of w_(p_t), the variable b_t[c]).
+    of w_(p_t), the variable b_t[c]); the split of w_c is None when w_c has
+    no monomial, as a coordinate w_(p_t) of a term never is.
     """
     m, npairs, feeds, candidates = _template(pivots, n, kind)
     # w[pair][d]: coordinate d of the pair's bracket as (value index,
@@ -217,7 +222,9 @@ def _plan(pivots: tuple[int, ...], n: int, kind: str, support: tuple[int, ...]):
 
         def split(pair, d):
             # coordinate d of the pair's bracket as (A, B), A + B*x; A and B
-            # read only earlier variables
+            # read only earlier variables; None if it has no monomial
+            if not w[pair][d]:
+                return None
             at = split_of.get(pair * n + d)
             if at is None:
                 at = split_of[pair * n + d] = len(splits)
@@ -236,10 +243,39 @@ def _plan(pivots: tuple[int, ...], n: int, kind: str, support: tuple[int, ...]):
     return m, tuple(constants), tuple(levels)
 
 
+# Bit x of a zero mask stands for the element x, so a mask holds every
+# q <= 16 = MAX_Q; little-endian, so bit x is bit x % 8 of byte x // 8.
+_MASK = np.dtype("<u2")
+_MASK_BITS = 8 * _MASK.itemsize
+
+
+@lru_cache(maxsize=None)  # only the 10 fields with q <= 16 enter, 8 KB at most each
+def _zeros(ctx):
+    """The zero-mask table of F_q: entry (r2*q + r1)*q + r0 is the mask of
+    the x in F_q with r2*x^2 + r1*x + r0 = 0, found by evaluating the
+    polynomial at every x with ctx.tables().  GuardExceeded, before anything
+    is built, for q wider than a mask."""
+    q = ctx.q
+    if q > _MASK_BITS:
+        raise GuardExceeded(f"oracle zero masks: need q <= {_MASK_BITS}, got q={q}")
+    add, mul, _, _, _, _ = ctx.tables()
+    r2, r1, r0 = np.indices((q, q, q), dtype=np.uint16).reshape(3, -1)
+    zeros = np.zeros(q ** 3, _MASK)
+    for x in range(q):
+        value = add.take(mul.take(r2 * q + int(mul[x * q + x])) * q
+                         + mul.take(r1 * q + x))
+        value = add.take(value * q + r0)
+        zeros |= (value == 0).astype(_MASK) << x
+    zeros.flags.writeable = False
+    return zeros
+
+
 def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
-    """Same count as _count_cell_scalar, level by level (see above): a
-    level's tests run on its (q, rows) candidate grid and only the survivors
-    become rows.
+    """Same count as _count_cell_scalar, level by level (see above): each of
+    a level's tests reads one zero mask per parent row from _zeros, and the
+    AND of the masks names the values of the new entry that pass them all.
+    The surviving (row, value) pairs become the next rows; the last level's
+    masks are only counted, by popcount.
 
     Free entries no test reads are never bound; each multiplies the count by q.
     """
@@ -251,12 +287,11 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
             return 0
 
     add_f, mul_f, sub_f, _, _, elements = L.ctx.tables()
-    grid_x = elements[:, None]  # the new variable on the x-major (q, size) grid
+    zeros = _zeros(L.ctx)
     cols: dict[int, np.ndarray] = {}  # values of the bound variables
     size = 1
 
-    # field operations on the parent rows or the grid; None is a sum
-    # without monomials
+    # field operations on the parent rows; None is a sum without monomials
     def add(u, v):
         return v if u is None else add_f.take(u * q + v)
 
@@ -277,18 +312,18 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
             acc = add(acc, term)
         return acc
 
-    for x, splits, checks in levels:
+    for depth, (x, splits, checks) in enumerate(levels, 1):
         if splits is None:  # nothing to test: every row takes all q values
             cols = {v: np.tile(col, q) for v, col in cols.items()}
             cols[x] = np.repeat(elements, size)
             size *= q
             continue
         parts = [(on_parents(a), on_parents(b)) for a, b in splits]
-        ok = True  # the level's tests on the (q, size) candidate grid
+        ok = None  # the AND of the level's zero masks, one per parent row
         for c, terms in checks:
             # the residual r0 + r1*x + r2*x^2 on the parent rows: each
             # entry b_t[c] is x or an earlier variable y
-            r0, r1 = parts[c]
+            r0, r1 = (None, None) if c is None else parts[c]
             r2 = None
             for p, y in terms:
                 a, b = parts[p]
@@ -297,13 +332,20 @@ def _count_cell_vector(L: LieAlgebra, pivots, kind: str) -> int:
                 else:
                     y = cols[y]
                     r0, r1 = sub(r0, mul(a, y)), sub(r1, mul(b, y))
-            # every test reads x, so r1 or r2 is present
-            t = r1 if r2 is None else add(r1, mul(r2, grid_x))
-            ok = ok & (mul(t, grid_x) == sub(0, r0))
-        keep = np.flatnonzero(np.broadcast_to(ok, (q, size)))
+            # every index is below q^3 <= 4096, so uint16 rows never wrap
+            at = ((0 if r2 is None else r2 * q) + (0 if r1 is None else r1)) * q
+            mask = zeros.take(at if r0 is None else at + r0)
+            ok = mask if ok is None else ok & mask
+        if ok.ndim == 0:  # no test read an earlier variable
+            ok = np.full(size, ok)
+        bits = np.unpackbits(ok.astype(_MASK, copy=False).view(np.uint8),
+                             bitorder="little")
+        if depth == len(levels):
+            return int(np.count_nonzero(bits)) * q ** (m - depth)
+        keep = np.flatnonzero(bits)
         if not len(keep):
             return 0
-        xs, parent = np.divmod(keep, size)
+        parent, xs = np.divmod(keep, _MASK_BITS)
         cols = {v: col.take(parent) for v, col in cols.items()}
         cols[x] = elements.take(xs)
         size = len(keep)

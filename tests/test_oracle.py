@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from test_rrdf import dense_conjugates, imported_names
 
+from fqzeta import oracle
 from fqzeta.formulas import closed_form, evaluate, gaussian_binomial
-from fqzeta.gf import make_field
+from fqzeta.gf import FieldCtx, field_of_order, make_field
 from fqzeta.liealg import (FAMILIES, JacobiViolation, catalog,
                            from_structure_constants, is_solvable, valid_params)
 from fqzeta.oracle import (MAX_Q, GuardExceeded, _count_cell_scalar,
@@ -63,14 +64,17 @@ def test_vector_and_scalar_oracle_agree():
             assert fast.coeffs == tuple(slow), (fam, params, q, kind)
 
 
-def test_dense_conjugates_match_scalar():
-    # dense structure constants make most bracket coordinates read both
-    # earlier entries and the new one, on extension fields as well
-    @settings(derandomize=True, max_examples=40, deadline=None,
+def _dense_cells_match_scalar(orders, examples):
+    # every pivot set and both kinds of conjugates over F_q, q in orders;
+    # returns the (q, n) drawn
+    seen = set()
+
+    @settings(derandomize=True, max_examples=examples, deadline=None,
               database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(dense_conjugates())
+    @given(dense_conjugates(orders))
     def check(pair):
         _, L = pair
+        seen.add((L.ctx.q, L.n))
         for k in range(1, L.n + 1):
             for pivots in itertools.combinations(range(L.n), k):
                 for kind in ("ideal", "subalgebra"):
@@ -79,6 +83,47 @@ def test_dense_conjugates_match_scalar():
                         (L.name, L.sc, L.ctx.q, pivots, kind)
 
     check()
+    return seen
+
+
+def test_dense_conjugates_match_scalar():
+    # dense structure constants make most bracket coordinates read both
+    # earlier entries and the new one, on extension fields as well
+    _dense_cells_match_scalar((4, 8, 9), 40)
+
+
+def test_dense_conjugates_match_scalar_at_the_top_mask_bits():
+    # F_13 and F_16 reach mask bits 12 and 15, the top of a 16-bit mask;
+    # one field per draw, so that each gets three-dimensional algebras
+    for q in (13, 16):
+        assert (q, 3) in _dense_cells_match_scalar((q,), 20)
+
+
+def test_zero_masks_match_a_scalar_loop():
+    orders = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)  # every field the oracle admits
+    assert orders[-1] == MAX_Q
+    for q in orders:
+        ctx = field_of_order(q)
+        want = []
+        for r2 in range(q):
+            for r1 in range(q):
+                # r2*x^2 + r1*x at every x, then + r0
+                head = [ctx.add(ctx.mul(r2, ctx.mul(x, x)), ctx.mul(r1, x))
+                        for x in range(q)]
+                for r0 in range(q):
+                    want.append(sum(1 << x for x in range(q)
+                                    if ctx.add(head[x], r0) == 0))
+        assert oracle._zeros(ctx).tolist() == want, q
+
+
+def test_zero_masks_refuse_a_field_wider_than_a_mask(monkeypatch):
+    def build(self):
+        raise AssertionError("tables read for a field wider than a mask")
+
+    monkeypatch.setattr(FieldCtx, "tables", build)
+    for q in (17, 32, 257):
+        with pytest.raises(GuardExceeded):
+            oracle._zeros(field_of_order(q))
 
 
 def test_three_routes_agree_at_the_largest_field():

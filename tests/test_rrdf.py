@@ -295,12 +295,12 @@ def test_root_table_wide_fields_sampled(p, k):
 
 
 @st.composite
-def dense_conjugates(draw):
+def dense_conjugates(draw, orders=(4, 8, 9)):
     # (source, conjugate): a catalog algebra and the same algebra written in
-    # a random basis over F_4, F_8 or F_9, whose structure constants are
-    # dense, unlike the catalog's; n <= 3 over F_8 and F_9 keeps the scalar
-    # reference fast
-    q = draw(st.sampled_from((4, 8, 9)))
+    # a random basis over F_q for q in orders, by default F_4, F_8 or F_9,
+    # whose structure constants are dense, unlike the catalog's; n <= 3
+    # above F_4 keeps the scalar reference fast
+    q = draw(st.sampled_from(orders))
     ctx = field_of_order(q)
     families = [f for f, (n, _) in FAMILIES.items()
                 if n <= (4 if q == 4 else 3) and valid_params(f, ctx)]
