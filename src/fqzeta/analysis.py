@@ -26,8 +26,8 @@ from .gf import NotPrime, count_roots_over_primes, field_of_order, is_prime
 from .liealg import FAMILIES, catalog, m9_param_ok, valid_params
 from .oracle import GuardExceeded, check_guard, zeta_oracle
 from .rrdf import zeta_enumerate
-from .formulas import (closed_form, evaluate, evaluate_many, realized_q_polynomial,
-                       variety_poly_int)
+from .formulas import (_realized_many, _select, branch_table, closed_form, evaluate,
+                       evaluate_many, variety_poly_int)
 
 
 class ClassificationViolation(AssertionError):
@@ -412,39 +412,49 @@ DEFAULT_INT_TUPLES = {
 
 def period_estimate(family: str, kind: str, q_set,
                     int_tuples=None) -> PeriodEstimate:
+    return _period_estimates(family, (kind,), q_set, int_tuples)[0]
+
+
+def period_parity(family: str, q_set, int_tuples=None):
+    """(subalgebra estimate, ideal estimate, equal?) for one family."""
+    sub, idl = _period_estimates(family, ("subalgebra", "ideal"), q_set, int_tuples)
+    return sub, idl, sub.estimate == idl.estimate
+
+
+def _period_estimates(family: str, kinds, q_set, int_tuples) -> list[PeriodEstimate]:
+    """[period_estimate(family, kind, q_set, int_tuples) for kind in kinds],
+    field by field: the kept samples of every tuple and kind over one field
+    count their distinct variety polynomials once, in one batch."""
     if family not in FAMILIES:
         raise KeyError(f"unknown family {family!r}")
     arity = FAMILIES[family][1]
     tuples = int_tuples if int_tuples is not None else DEFAULT_INT_TUPLES[arity]
     q_sorted = tuple(sorted(q_set))
-    per_tuple = []
-    for tup in tuples:
-        int_branch = closed_form(family, tup, kind, ctx=None)
-        realized = set()
-        kept, skipped = [], []
-        for q in q_sorted:
-            ctx = field_of_order(q)
-            params = tuple(ctx.embed(t) for t in tup)
-            if family == "M9" and not m9_param_ok(params[0], ctx):
-                skipped.append(q)
-                continue
-            sz = closed_form(family, params, kind, ctx)
-            if sz is not int_branch:
-                skipped.append(q)
-                continue
-            realized.add(realized_q_polynomial(sz, params, ctx))
-            kept.append(q)
-        per_tuple.append(TupleEstimate(tuple(tup), len(realized),
-                                       tuple(kept), tuple(skipped)))
-    return PeriodEstimate(family=family, kind=kind, q_set=q_sorted,
-                          per_tuple=per_tuple)
-
-
-def period_parity(family: str, q_set, int_tuples=None):
-    """(subalgebra estimate, ideal estimate, equal?) for one family."""
-    sub = period_estimate(family, "subalgebra", q_set, int_tuples)
-    idl = period_estimate(family, "ideal", q_set, int_tuples)
-    return sub, idl, sub.estimate == idl.estimate
+    # per kind, then per tuple: its integer branch, realized set, kept and skipped q
+    runs = [[(closed_form(family, tup, kind, ctx=None), set(), [], [])
+             for tup in tuples] for kind in kinds]
+    for q in q_sorted:
+        ctx = field_of_order(q)
+        items, realized = [], []  # the kept samples, and where each goes
+        for t, tup in enumerate(tuples):
+            params = tuple(ctx.embed(v) for v in tup)
+            ok = family != "M9" or m9_param_ok(params[0], ctx)
+            for kind, run in zip(kinds, runs):
+                int_branch, seen, kept, skipped = run[t]
+                sz = closed_form(family, params, kind, ctx) if ok else None
+                if sz is not int_branch:
+                    skipped.append(q)
+                    continue
+                items.append((sz, params))
+                realized.append(seen)
+                kept.append(q)
+        for seen, poly in zip(realized, _realized_many(items, ctx)):
+            seen.add(poly)
+    return [PeriodEstimate(family=family, kind=kind, q_set=q_sorted,
+                           per_tuple=[TupleEstimate(tuple(tup), len(seen), tuple(kept),
+                                                    tuple(skipped))
+                                      for tup, (_, seen, kept, skipped) in zip(tuples, run)])
+            for kind, run in zip(kinds, runs)]
 
 
 # -- isospectral pairs -------------------------------------------------------
@@ -506,9 +516,11 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
     """Unordered pairs of distinct catalog instances with equal polynomials.
 
     Polynomials come from the closed forms (the campaign separately proves
-    those equal to both enumeration routes), so full grids stay cheap: each
-    field's instances of every requested kind go through one evaluate_many
-    call, which counts each distinct variety polynomial of the field once.
+    those equal to both enumeration routes), so full grids stay cheap: the
+    branch table is read once per scan, and each field's instances of every
+    requested kind go through one evaluate_many call, which counts each
+    distinct variety polynomial of the field once and substitutes each
+    distinct (branch, count vector) once.
     Returns an IsoPairs: every instance is evaluated here, but a pair is
     built only when the result is iterated, which can be done again and
     again; len() is the exact number of pairs, counted without building
@@ -523,13 +535,13 @@ def isospectral_scan(q_set, kinds=("subalgebra", "ideal"),
         raise GuardExceeded(f"iso guard: {work:.2g} instance pairs to compare, "
                             f"over the limit of {ISO_WORK_LIMIT:.0e}")
     fam_order = {f: i for i, f in enumerate(FAMILIES)}
-    blocks = []
+    table, blocks = branch_table(), []
     for q in sorted(q_set):
         ctx = field_of_order(q)
         # the instances in instance order, the same for every kind
         grid = sorted((fam_order[family], tuple(params), family)
                       for family in families for params in valid_params(family, ctx))
-        zetas = iter(evaluate_many([(closed_form(family, params, kind, ctx), params)
+        zetas = iter(evaluate_many([(_select(table, family, params, kind, ctx), params)
                                     for kind in sorted(kinds) for _, params, family in grid],
                                    ctx))
         for kind in sorted(kinds):

@@ -7,11 +7,15 @@ are integer polynomials in q plus weighted counts of F_q-roots of the fixed
 defining polynomials below.  evaluate() turns a template into the exact
 coefficient vector for one concrete field, with one root count per variety
 term; evaluate_many() does the same for many (template, parameters) pairs
-over one field, counting each distinct variety polynomial once.
+over one field, counting each distinct variety polynomial once and
+substituting each distinct (branch, count vector) once.  A branch is one
+table line; an instance's count vector is the root counts of its branch's
+variety terms, in term order, and its polynomial depends on nothing else.
 
 Each table line is parsed and checked (family, kind, guard atoms, parameter
 names, variety arity) once, when the table loads, into one SymbolicZeta with
-its guard split into atoms; closed_form() then only compares values.  The
+its guard split into atoms and each variety argument into a parameter index
+and a sign; closed_form() then only compares values.  The
 loaded table is also checked whole: it must hold a block for every catalog
 family and both kinds, and in each block exactly one guard must hold at every
 parameter tuple over F_4 and over F_5.  Guards are conjunctions of the atoms
@@ -72,43 +76,40 @@ def gaussian_binomial(n: int, i: int, q: int) -> int:
 # polynomials used by the residue-class scans.
 
 
-def _variety_coeffs(tag: str, params, add, mul, neg, one):
-    def lift(n):
-        # small nonnegative integer constant, built from 1 by addition
-        v = add(one, neg(one))
-        for _ in range(n):
-            v = add(v, one)
-        return v
-
+def _variety_coeffs(tag: str, params, add, mul, neg):
+    """The coefficients, low to high, of tag's polynomial at params in the
+    ring of add, mul and neg, whose zero and one are 0 and 1: the integers,
+    and the element codes of every field."""
     if tag == "V3":
         (a,) = params
-        return [neg(one), neg(one), a]  # a x^2 - x - 1
+        return [neg(1), neg(1), a]  # a x^2 - x - 1
     if tag == "V4":
         (a,) = params
-        return [neg(one), lift(0), a]  # a x^2 - 1
+        return [neg(1), 0, a]  # a x^2 - 1
     if tag == "V13":
         (a,) = params
-        return [neg(a), one, one]  # x^2 + x - a
+        return [neg(a), 1, 1]  # x^2 + x - a
     if tag == "V14":
         (a,) = params
-        return [neg(a), lift(0), one]  # x^2 - a
+        return [neg(a), 0, 1]  # x^2 - a
     a, b = params
-    two_ab = mul(lift(2), mul(a, b))
     if tag == "V6_1":
-        return [one, b, a, neg(mul(a, a))]  # -a^2 x^3 + a x^2 + b x + 1
+        return [1, b, a, neg(mul(a, a))]  # -a^2 x^3 + a x^2 + b x + 1
     if tag == "V6_2":
-        return [one, one, neg(b), a]  # a x^3 - b x^2 + x + 1
-    if tag == "V6_3":
-        return [mul(a, a), two_ab, add(a, mul(b, b)), add(a, b)]
-    if tag == "V6_4":
-        return [mul(a, a), two_ab, add(a, mul(b, b))]
+        return [1, 1, neg(b), a]  # a x^3 - b x^2 + x + 1
     if tag == "V7_1":
-        return [neg(one), neg(b), lift(0), mul(a, a)]  # a^2 x^3 - b x - 1
+        return [neg(1), neg(b), 0, mul(a, a)]  # a^2 x^3 - b x - 1
     if tag == "V7_2":
-        return [one, lift(0), neg(b), a]  # a x^3 - b x^2 + 1
-    if tag == "V7_3":
-        return [mul(a, a), two_ab, mul(b, b), a]
-    raise UnknownBranch(f"unknown variety tag {tag!r}")
+        return [1, 0, neg(b), a]  # a x^3 - b x^2 + 1
+    if tag not in ("V6_3", "V6_4", "V7_3"):
+        raise UnknownBranch(f"unknown variety tag {tag!r}")
+    ab = mul(a, b)
+    low = [mul(a, a), add(ab, ab)]  # a^2 + 2ab x, then the higher terms
+    if tag == "V6_3":
+        return low + [add(a, mul(b, b)), add(a, b)]
+    if tag == "V6_4":
+        return low + [add(a, mul(b, b))]
+    return low + [mul(b, b), a]  # V7_3
 
 
 # tag -> number of parameters
@@ -125,14 +126,14 @@ class VarietyId:
 
 def variety_poly(vid: VarietyId, ctx: FieldCtx) -> list[int]:
     """Defining polynomial of the variety over ctx, coefficients low to high."""
-    return _variety_coeffs(vid.tag, vid.params, ctx.add, ctx.mul, ctx.neg, 1)
+    return _variety_coeffs(vid.tag, vid.params, ctx.add, ctx.mul, ctx.neg)
 
 
 def variety_poly_int(tag: str, params) -> list[int]:
     """The same polynomial with literal integer coefficients."""
     return _variety_coeffs(tag, tuple(params),
                            lambda x, y: x + y, lambda x, y: x * y,
-                           lambda x: -x, 1)
+                           lambda x: -x)
 
 
 def variety_count(vid: VarietyId, ctx: FieldCtx) -> int:
@@ -226,6 +227,9 @@ class SymbolicZeta:
     guard: str
     terms: tuple[ZetaTerm, ...]
     atoms: tuple[tuple[int, int | str, bool], ...]  # the guard, parsed
+    # each variety term in term order: its tag, and for each argument the
+    # index of its parameter and whether it is negated ("-a" is (0, True))
+    slots: tuple[tuple[str, tuple[tuple[int, bool], ...]], ...]
 
     def holds(self, params, ctx: FieldCtx | None) -> bool:
         """Whether the guard admits params; ctx=None compares integers."""
@@ -395,8 +399,10 @@ def _parse_table(text: str) -> dict[tuple[str, str], list[SymbolicZeta]]:
                 sym = _parse_expr(tree.body, names, dim)
                 vs = tuple((w, tag, args) for (tag, args), w in sorted(sym.vs.items()))
                 terms.append(ZetaTerm(sym.base, vs))
+            slots = tuple((tag, tuple(("ab".index(s[-1]), s[0] == "-") for s in args))
+                          for term in terms for _, tag, args in term.varieties)
             branch = SymbolicZeta(family, _KINDS[kind], guard, tuple(terms),
-                                  _parse_guard(guard, names))
+                                  _parse_guard(guard, names), slots)
         except BranchTableError as exc:
             raise BranchTableError(f"line {lineno}: {exc}") from None
         except Exception as exc:
@@ -444,7 +450,13 @@ def branch_table() -> dict[tuple[str, str], list[SymbolicZeta]]:
 
 def closed_form(family: str, params, kind: str, ctx: FieldCtx | None) -> SymbolicZeta:
     """The branch whose guard admits params; ctx=None compares integers."""
-    branches = branch_table().get((family, kind))
+    return _select(branch_table(), family, params, kind, ctx)
+
+
+def _select(table, family: str, params, kind: str, ctx: FieldCtx | None) -> SymbolicZeta:
+    """closed_form's branch, from table, a branch_table() read once by the
+    caller for many selections."""
+    branches = table.get((family, kind))
     if not branches:
         raise UnknownBranch(f"no closed form for {family} / {kind}")
     for br in branches:
@@ -455,10 +467,10 @@ def closed_form(family: str, params, kind: str, ctx: FieldCtx | None) -> Symboli
 
 def _varieties(sz: SymbolicZeta, params, ctx: FieldCtx) -> list[tuple]:
     """(tag, parameter values) of each variety term of sz at params over ctx,
-    in term order; an argument "-a" stands for -a."""
-    return [(tag, tuple([ctx.neg(params["ab".index(s[1])]) if s[0] == "-"
-                         else params["ab".index(s)] for s in args]))
-            for term in sz.terms for _, tag, args in term.varieties]
+    in term order."""
+    neg = ctx.neg
+    return [(tag, tuple([neg(params[i]) if minus else params[i] for i, minus in args]))
+            for tag, args in sz.slots]
 
 
 def _substitute(sz: SymbolicZeta, q: int, counts) -> ZetaPoly:
@@ -483,31 +495,42 @@ def evaluate(sz: SymbolicZeta, params, ctx: FieldCtx) -> ZetaPoly:
 def evaluate_many(items, ctx: FieldCtx) -> list[ZetaPoly]:
     """[evaluate(sz, params, ctx) for sz, params in items], with each distinct
     variety polynomial of the batch counted once, all in one
-    gf.count_roots_many call over ctx.  No count outlives the call."""
+    gf.count_roots_many call over ctx, and each distinct (branch, count
+    vector) substituted once: the instances that share one get the same
+    ZetaPoly object.  No root count and no variety polynomial outlives the
+    call."""
     items = list(items)
-    found, polys = _positions(items, ctx)
-    counts = count_roots_many(polys, ctx)
-    return [_substitute(sz, ctx.q, [counts[i] for i in pos])
-            for (sz, _), pos in zip(items, found)]
+    memo: dict[tuple[int, tuple[int, ...]], ZetaPoly] = {}  # (id(sz), counts) -> poly
+    out = []
+    for (sz, _), counts in zip(items, _variety_counts(items, ctx)):
+        key = (id(sz), counts)  # items holds every sz, so no id is reused
+        z = memo.get(key)
+        if z is None:
+            z = memo[key] = _substitute(sz, ctx.q, counts)
+        out.append(z)
+    return out
 
 
-def _positions(items, ctx: FieldCtx) -> tuple[list[tuple[int, ...]], list[tuple]]:
-    """(found, polys): polys holds each distinct variety polynomial of the
-    (sz, params) items over ctx once, and found[i] the position in polys of
-    each variety term of items[i], in term order.  Its (tag, values) keys
-    are freed on return, before the scan."""
+def _variety_counts(items, ctx: FieldCtx) -> list[tuple[int, ...]]:
+    """The count vector of each (sz, params) of the list items over ctx: the
+    root counts of its variety terms, in term order, with each distinct
+    variety polynomial of the list counted once, in one
+    gf.count_roots_many call.  A term's polynomial is built, with a few
+    field operations, and looked up by its coefficients: no (tag, values)
+    key is kept."""
+    add, mul, neg = ctx.add, ctx.mul, ctx.neg
     polys: dict[tuple[int, ...], int] = {}  # distinct polynomial -> position
-    slot: dict[tuple, int] = {}  # (tag, values) -> its polynomial's position
-    found = []
+    found = []  # per item, the position in polys of each variety term
     for sz, params in items:
         pos = []
-        for v in _varieties(sz, params, ctx):
-            if v not in slot:
-                poly = tuple(variety_poly(VarietyId(*v), ctx))
-                slot[v] = polys.setdefault(poly, len(polys))
-            pos.append(slot[v])
+        for tag, args in sz.slots:  # _varieties' values, without its tuples
+            vals = [neg(params[i]) if minus else params[i] for i, minus in args]
+            poly = tuple(_variety_coeffs(tag, vals, add, mul, neg))
+            pos.append(polys.setdefault(poly, len(polys)))
         found.append(tuple(pos))
-    return found, list(polys)
+    polys = list(polys)  # frees the dict before the scan
+    counts = count_roots_many(polys, ctx)
+    return [tuple([counts[i] for i in pos]) for pos in found]
 
 
 def zeta_formula(family: str, params, kind: str, ctx: FieldCtx) -> ZetaPoly:
@@ -521,9 +544,22 @@ def realized_q_polynomial(sz: SymbolicZeta, params, ctx: FieldCtx) -> tuple:
     exactly when these vectors agree, which is what the period estimates
     compare.
     """
-    counts = iter([variety_count(VarietyId(tag, vals), ctx)
-                   for tag, vals in _varieties(sz, params, ctx)])
-    out = []
+    return _realize(sz, [variety_count(VarietyId(tag, vals), ctx)
+                         for tag, vals in _varieties(sz, params, ctx)])
+
+
+def _realized_many(items, ctx: FieldCtx) -> list[tuple]:
+    """[realized_q_polynomial(sz, params, ctx) for sz, params in items], with
+    the variety counts of _variety_counts: each distinct variety polynomial
+    of the list counted once."""
+    items = list(items)
+    return [_realize(sz, counts) for (sz, _), counts in zip(items, _variety_counts(items, ctx))]
+
+
+def _realize(sz: SymbolicZeta, counts) -> tuple:
+    """realized_q_polynomial's vector, with counts[i] the root count of the
+    i-th variety term of sz."""
+    counts, out = iter(counts), []
     for term in sz.terms:
         poly = term.base
         for w, _, _ in term.varieties:

@@ -55,6 +55,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -104,6 +105,11 @@ def _least_factor(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n) == n
+
+
+# The primes up to sqrt(Q_LIMIT): the least prime factor of every composite
+# up to Q_LIMIT is one of them.
+_SMALL_PRIMES = [d for d in range(2, isqrt(Q_LIMIT) + 1) if is_prime(d)]
 
 
 @dataclass(frozen=True)
@@ -432,7 +438,8 @@ def count_roots_many(polys, ctx: FieldCtx) -> list[int]:
     coefficient column is added only where some row has it nonzero.  Over
     an extension field the rows with the same nonzero positions form a group
     with the same exponent steps, and each row has its own log offsets:
-    zech.take(offset + u + e, mode="clip").  Each polynomial is counted as
+    zech.take(offset + u + e, mode="clip"), or zech[offset:].take(u + e,
+    mode="clip") for a row alone in its block.  Each polynomial is counted as
     given; removing repeats is the caller's part.
     """
     return _count_roots(polys, ctx)
@@ -452,12 +459,15 @@ def _count_roots(polys, ctx: FieldCtx) -> list[int]:
         while d and not cs[d - 1]:
             d -= 1
         if d > 1:
-            rows.append(cs[:d])
+            rows.append(cs if d == len(cs) else cs[:d])
         out.append(None if d > 1 else 0 if d else q)  # None: scanned below
     if rows:
         if prime and q > Q_LIMIT:
             raise TooLarge(f"root counting over F_{q} needs p <= {Q_LIMIT}")
-        counts = iter((_scan_fp if prime else _scan_fq)(rows, ctx))
+        counts = (_scan_fp if prime else _scan_fq)(rows, ctx)
+        if len(rows) == len(out):  # every polynomial was scanned
+            return counts
+        counts = iter(counts)
         out = [next(counts) if c is None else c for c in out]
     return out
 
@@ -468,7 +478,11 @@ def count_roots_over_primes(int_coeffs, primes) -> list[int]:
     for every p, counted in one exhaustive scan that all small primes share.
 
     Every p is checked before anything is counted, as make_field(p, 1)
-    checks it: TooLarge above Q_LIMIT, then NotPrime.  A prime p with
+    checks it: TooLarge above Q_LIMIT, then NotPrime, for the first p in
+    input order that fails.  The check divides BLOCK candidates at a time by
+    each prime up to the square root of their largest, in one numpy call
+    per divisor, and p^-1 mod 2^64 comes for all odd p at once by Newton's
+    iteration; neither costs a Python step per prime.  A prime p with
     B(p) = sum |c_i| (p - 1)^i < 2^63 shares the scan: B(p) bounds |f(x)|
     and every Horner intermediate for 0 <= x < p, so f(x) is evaluated once
     per block of BLOCK consecutive x, in exact int64 with the coefficients
@@ -483,12 +497,8 @@ def count_roots_over_primes(int_coeffs, primes) -> list[int]:
     tested for every p; nothing is factored.
     """
     primes = list(primes)
-    distinct = dict.fromkeys(primes)
-    for p in distinct:
-        if p > Q_LIMIT:
-            raise TooLarge(f"q = {p}^1 exceeds the {Q_LIMIT} cap")
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+    distinct = list(dict.fromkeys(primes))
+    _check_primes(distinct)
     cs = [int(c) for c in int_coeffs]
     while cs and not cs[-1]:
         cs.pop()
@@ -500,6 +510,43 @@ def count_roots_over_primes(int_coeffs, primes) -> list[int]:
     for p in ps[split:]:
         counts[p] = count_roots([c % p for c in cs], make_field(p, 1))
     return [counts[p] for p in primes]
+
+
+def _check_primes(ps: list[int]) -> None:
+    """Raise what make_field(p, 1) raises for the first p of ps it refuses:
+    TooLarge above Q_LIMIT, else NotPrime.  Each run of BLOCK candidates is
+    trial-divided at once, by the primes up to the square root of its
+    largest: a p in 2..Q_LIMIT is prime iff none of them but p divides it."""
+    for lo in range(0, len(ps), BLOCK):
+        run = ps[lo:lo + BLOCK]
+        try:
+            c = np.array(run, dtype=np.int64)
+        except OverflowError:  # some |p| >= 2^63; any p outside 0..Q_LIMIT fails
+            c = np.array([min(max(p, 0), Q_LIMIT + 1) for p in run], dtype=np.int64)
+        bad = (c < 2) | (c > Q_LIMIT)
+        top = isqrt(min(max(int(c.max()), 0), Q_LIMIT))
+        r, hit = np.empty_like(c), np.empty(len(c), dtype=bool)
+        for d in _SMALL_PRIMES[:bisect_right(_SMALL_PRIMES, top)]:
+            np.equal(np.remainder(c, d, out=r), 0, out=hit)
+            hit &= c != d
+            bad |= hit
+        if bad.any():
+            p = run[int(bad.argmax())]
+            if p > Q_LIMIT:
+                raise TooLarge(f"q = {p}^1 exceeds the {Q_LIMIT} cap")
+            raise NotPrime(f"{p} is not prime")
+
+
+def _inverses_mod_2_64(primes) -> np.ndarray:
+    """p^-1 mod 2^64 for each odd p of primes, as uint64, by Newton's
+    iteration x <- x (2 - p x) mod 2^64 from x = p: p^2 = 1 mod 8, and each
+    step doubles the low bits that are right, 3 -> 6 -> 12 -> 24 -> 48 -> 96
+    >= 64 in five steps.  An even p's entry is no inverse."""
+    p = np.array(primes, dtype=np.uint64)
+    x = p.copy()
+    for _ in range(5):
+        x *= 2 - p * x
+    return x
 
 
 def _value_bound(cs, p: int) -> int:
@@ -518,9 +565,8 @@ def _scan_primes(cs, primes) -> list[int]:
     if not primes:
         return []
     lead, *rest = cs[::-1]
-    # p^-1 mod 2^64 (0 for p = 2) and (2^64 - 1) // p for each prime
-    pinvs = np.fromiter((pow(p, -1, 1 << 64) if p > 2 else 0 for p in primes),
-                        dtype=np.uint64, count=len(primes))
+    # p^-1 mod 2^64 (unused for p = 2) and (2^64 - 1) // p for each prime
+    pinvs = _inverses_mod_2_64(primes)
     tops = np.uint64((1 << 64) - 1) // np.array(primes, dtype=np.uint64)
     zeros = [0] * len(primes)
     v, t = np.empty(BLOCK, dtype=np.int64), np.empty(BLOCK, dtype=np.uint64)
@@ -616,7 +662,7 @@ def _scan_fq(rows, ctx: FieldCtx) -> list[int]:
     zech, n = zech.obj, ctx.q - 1
     groups: dict[tuple[int, ...], list[int]] = {}  # nonzero positions -> rows
     for r, cs in enumerate(rows):
-        groups.setdefault(tuple([j for j, c in enumerate(cs) if c]), []).append(r)
+        groups.setdefault(tuple(itertools.compress(range(len(cs)), cs)), []).append(r)
     width = min(n, BLOCK)
     height, out = max(1, BLOCK // width), [1] * len(rows)  # c x^j: x = 0 only
     for js, members in groups.items():
@@ -631,10 +677,14 @@ def _scan_fq(rows, ctx: FieldCtx) -> list[int]:
             (s, _, axis), zeros = _columns(shifts[r0:r0 + height]), 0
             for lo in range(0, n, width):
                 i = np.arange(lo, min(lo + width, n))
-                u = 0
+                u = None  # before the first step, g^(log c_j + u) is c_j
                 for shift, (j, j2) in zip(s, steps):
                     e = i if j - j2 == 1 else i * (j - j2) % n
-                    u = zech.take(shift + u + e, mode="clip")
+                    if u is not None:
+                        e = u + e
+                    # one row's shift is an int: read zech from it on
+                    u = (zech[shift:].take(e, mode="clip") if axis is None
+                         else zech.take(shift + e, mode="clip"))
                 zeros += np.count_nonzero(u == len(zech) - 1, axis=axis)
             zeros = zeros.tolist() if axis else [int(zeros)]
             for r, z in zip(members[r0:r0 + height], zeros):

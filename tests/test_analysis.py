@@ -5,9 +5,9 @@ import tracemalloc
 import pytest
 
 from fqzeta import analysis as an
-from fqzeta.formulas import closed_form, evaluate
+from fqzeta.formulas import closed_form, evaluate, realized_q_polynomial
 from fqzeta.gf import NotPrime, count_roots, field_of_order, is_prime, make_field
-from fqzeta.liealg import FAMILIES, valid_params
+from fqzeta.liealg import FAMILIES, m9_param_ok, valid_params
 from fqzeta.oracle import GuardExceeded
 
 
@@ -331,6 +331,86 @@ def test_period_bad_prime_skipping():
     t = est.per_tuple[0]
     assert set(t.skipped_q) == {3, 9}
     assert t.realized == 1
+
+
+def reference_period_tuples(family, kind, q_set):
+    """period_estimate's per_tuple as the plain loop over tuples, then fields,
+    with one realized_q_polynomial (and its count_roots calls) per sample."""
+    per_tuple = []
+    for tup in an.DEFAULT_INT_TUPLES[FAMILIES[family][1]]:
+        int_branch = closed_form(family, tup, kind, ctx=None)
+        realized, kept, skipped = set(), [], []
+        for q in sorted(q_set):
+            ctx = field_of_order(q)
+            params = tuple(ctx.embed(t) for t in tup)
+            if family == "M9" and not m9_param_ok(params[0], ctx):
+                skipped.append(q)
+                continue
+            sz = closed_form(family, params, kind, ctx)
+            if sz is not int_branch:
+                skipped.append(q)
+                continue
+            realized.add(realized_q_polynomial(sz, params, ctx))
+            kept.append(q)
+        per_tuple.append(an.TupleEstimate(tuple(tup), len(realized), tuple(kept),
+                                          tuple(skipped)))
+    return per_tuple
+
+
+PERIOD_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
+
+
+def test_period_parity_matches_the_reference_loop():
+    for family in FAMILIES:
+        sub, idl, eq = an.period_parity(family, PERIOD_FIELDS)
+        assert sub.per_tuple == reference_period_tuples(family, "subalgebra",
+                                                        PERIOD_FIELDS), family
+        assert idl.per_tuple == reference_period_tuples(family, "ideal",
+                                                        PERIOD_FIELDS), family
+        assert eq == (sub.estimate == idl.estimate)
+        assert an.period_estimate(family, "ideal", PERIOD_FIELDS) == idl
+
+
+def test_period_counts_each_field_once_for_both_kinds(monkeypatch):
+    # one count_roots_many call per field, each distinct variety polynomial
+    # of both kinds' kept samples in it once: M6 shares V6_1 and V6_2
+    # between its kinds
+    from fqzeta import formulas
+    calls, real = [], formulas.count_roots_many
+
+    def record(polys, ctx):
+        calls.append((ctx.q, list(polys)))
+        return real(polys, ctx)
+
+    monkeypatch.setattr(formulas, "count_roots_many", record)
+    an.period_parity("M6", (5, 7, 9))
+    assert [q for q, _ in calls] == [5, 7, 9]
+    for q, polys in calls:
+        ctx = field_of_order(q)
+        want = set()
+        for kind in ("subalgebra", "ideal"):
+            for tup in an.DEFAULT_INT_TUPLES[2]:
+                params = tuple(ctx.embed(t) for t in tup)
+                sz = closed_form("M6", params, kind, ctx)
+                if sz is closed_form("M6", tup, kind, None):
+                    want |= {tuple(formulas.variety_poly(formulas.VarietyId(*v), ctx))
+                             for v in formulas._varieties(sz, params, ctx)}
+        assert len(polys) == len(set(polys)) and set(polys) == want, q
+
+
+def test_isospectral_scan_reads_the_branch_table_once(monkeypatch):
+    from fqzeta import formulas
+    reads, real = [], formulas.branch_table
+
+    def read():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(formulas, "branch_table", read)
+    monkeypatch.setattr(an, "branch_table", read)
+    pairs = an.isospectral_scan((4, 5, 7))
+    assert len(reads) == 1
+    assert list(pairs) == reference_isospectral_pairs((4, 5, 7))
 
 
 def test_isospectral_scan_examples():

@@ -13,7 +13,7 @@ from fqzeta.formulas import (_COVER_FIELDS, BranchTableError, QPoly,
                              extra_variety_identities,
                              variety_count, variety_poly, variety_poly_int,
                              zeta_formula)
-from fqzeta.gf import field_of_order, make_field
+from fqzeta.gf import TABLE_LIMIT, field_of_order, make_field
 from fqzeta.liealg import FAMILIES, catalog, valid_params
 from fqzeta.oracle import zeta_oracle
 
@@ -101,29 +101,62 @@ def test_evaluate_examples():
     assert z.coeffs == (1, 1, 3, 3, 1)
 
 
-@pytest.mark.parametrize("q", [2, 4, 7, 9])
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 16, 17, 37, 257, 1024])
 def test_evaluate_many_matches_evaluate(q, monkeypatch):
     # every instance of both kinds over F_q in one batch gives evaluate's
     # polynomials, in item order, with each distinct variety polynomial of
-    # the batch passed to one count_roots_many call once
+    # the batch passed to one count_roots_many call once, and each distinct
+    # (branch, count vector) substituted once, its ZetaPoly shared; above
+    # TABLE_LIMIT (no dense tables) the one-parameter families only
     ctx = field_of_order(q)
+    families = FAMILIES if q <= TABLE_LIMIT else ("L3", "L4", "M13", "M14")
     items = [(closed_form(family, params, kind, ctx), params)
-             for kind in ("ideal", "subalgebra") for family in FAMILIES
+             for kind in ("ideal", "subalgebra") for family in families
              for params in valid_params(family, ctx)]
     want = [evaluate(sz, params, ctx) for sz, params in items]
-    calls, real = [], formulas.count_roots_many
+    # each instance's count vector, one variety_count per term
+    pairs = {(id(sz), tuple(variety_count(VarietyId(*v), ctx)
+                            for v in formulas._varieties(sz, params, ctx)))
+             for sz, params in items}
+    calls, subs = [], []
+    real_many, real_substitute = formulas.count_roots_many, formulas._substitute
 
     def record(polys, ctx):
         calls.append(list(polys))
-        return real(calls[-1], ctx)
+        return real_many(calls[-1], ctx)
+
+    def substitute(sz, q, counts):
+        subs.append((id(sz), tuple(counts)))
+        return real_substitute(sz, q, counts)
 
     monkeypatch.setattr(formulas, "count_roots_many", record)
-    assert evaluate_many(iter(items), ctx) == want
+    monkeypatch.setattr(formulas, "_substitute", substitute)
+    got = evaluate_many(iter(items), ctx)
+    assert got == want
     assert len(calls) == 1 and len(set(calls[0])) == len(calls[0])
     assert set(calls[0]) == {tuple(variety_poly(VarietyId(*v), ctx))
                              for sz, params in items
                              for v in formulas._varieties(sz, params, ctx)}
+    assert len(subs) == len(set(subs)) == len(pairs) <= len(items)
+    assert set(subs) == pairs
+    assert len({id(z) for z in got}) == len(pairs)
     assert evaluate_many([], ctx) == []
+
+
+@pytest.mark.parametrize("q", [4, 7, 25])
+def test_realized_many_matches_realized_q_polynomial(q, monkeypatch):
+    # the batched vectors of period equal the per-instance ones, with one
+    # count_roots_many call for the whole list
+    ctx = field_of_order(q)
+    items = [(closed_form(family, params, kind, ctx), params)
+             for kind in ("ideal", "subalgebra") for family in FAMILIES
+             for params in valid_params(family, ctx)]
+    want = [realized_q_polynomial(sz, params, ctx) for sz, params in items]
+    calls, real = [], formulas.count_roots_many
+    monkeypatch.setattr(formulas, "count_roots_many",
+                        lambda polys, ctx: calls.append(polys) or real(polys, ctx))
+    assert formulas._realized_many(iter(items), ctx) == want
+    assert len(calls) == 1
 
 
 def test_branch_guards_partition_every_family():

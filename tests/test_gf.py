@@ -537,6 +537,11 @@ def test_count_roots_many_matches_count_roots(p, k):
     assert count_roots_many([UniPoly.of(f) for f in batch[:20]], ctx) == got[:20]
     assert count_roots_many(iter(batch[:20]), ctx) == got[:20]
     assert count_roots_many([], ctx) == []
+    # a single polynomial left out of the scan (a constant, the zero
+    # polynomial) keeps every count in its place
+    for alone in ([1], [0, 0], []):
+        mixed = [[1, 1], [0, 1], alone, [1, 0, 1]]
+        assert count_roots_many(mixed, ctx) == [count_roots(f, ctx) for f in mixed]
 
 
 def test_count_roots_many_refuses_codes_outside_the_field():
@@ -640,10 +645,15 @@ def test_count_roots_over_primes_at_the_int64_bound(monkeypatch):
 
 @pytest.mark.parametrize("primes, error", [
     ([5, 7, 9, 11], NotPrime), ([2, 1], NotPrime), ([3, 0], NotPrime),
-    ([-7], NotPrime), ([2, 1048583, 4], TooLarge), ([1048573, 1 << 21], TooLarge)])
+    ([-7], NotPrime), ([2, 1048583, 4], TooLarge), ([1048573, 1 << 21], TooLarge),
+    ([5, 1021 * 1021], NotPrime), ([1019 * 1021, 7], NotPrime), ([1], NotPrime),
+    ([-1, 5], NotPrime), ([9, 1048583], NotPrime), ([1048583, 9], TooLarge),
+    ([3, 1 << 70], TooLarge), ([3, -(1 << 70)], NotPrime)])
 def test_count_roots_over_primes_checks_every_prime_first(primes, error, monkeypatch):
     # as make_field(p, 1) would: TooLarge above Q_LIMIT (1048583 is the
-    # least prime above it), NotPrime below it, before any root is counted
+    # least prime above it), NotPrime below it, for the first p that fails,
+    # before any root is counted; 1021^2 and 1019 * 1021 have their least
+    # factors just under sqrt(2^20) = 1024, and 2^70 does not fit in int64
     def refuse(*args):
         raise AssertionError("counted before every prime was checked")
 
@@ -651,6 +661,37 @@ def test_count_roots_over_primes_checks_every_prime_first(primes, error, monkeyp
     monkeypatch.setattr(gf, "_scan_primes", refuse)
     with pytest.raises(error):
         count_roots_over_primes([1, 0, 0, 2], primes)
+
+
+def _sieve(top):
+    """is_prime for 0..top, as a bytearray, by a sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 1)
+    for d in range(2, isqrt(top) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, top + 1, d)))
+    return sieve
+
+
+def test_prime_check_matches_a_sieve(monkeypatch):
+    # the check passes all 82,025 primes up to 2^20 in one call, and refuses
+    # each composite of 0..3000 and each product of two primes near 1024
+    sieve = _sieve(Q_LIMIT)
+    gf._check_primes([p for p in range(Q_LIMIT + 1) if sieve[p]])
+    near = [p for p in range(900, 1100) if sieve[p]]
+    composites = [n for n in range(-3, 3000) if not sieve[max(n, 0)]]
+    composites += [a * b for a in near for b in near if a <= b and a * b <= Q_LIMIT]
+    for n in composites:
+        with pytest.raises(NotPrime):
+            gf._check_primes([2, n, 3])
+
+
+def test_inverses_mod_2_64_match_pow():
+    # Newton's five steps give p^-1 mod 2^64 for every odd prime up to 2^20
+    sieve = _sieve(Q_LIMIT)
+    odd = [p for p in range(3, Q_LIMIT + 1, 2) if sieve[p]]
+    got = gf._inverses_mod_2_64(odd)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [pow(p, -1, 1 << 64) for p in odd]
 
 
 def test_count_roots_over_primes_memory_is_one_block():
